@@ -151,7 +151,6 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         energy=energy,
         newton_iters=step1.newton_iters,
         krylov_iters_step2=vel.krylov_iters,
-        cg_iters_projection=0,  # spectral direct solve
         residual_step1=step1.final_residual,
         residual_step2=vel.residual,
         wall_time_s=_time.perf_counter() - started,

@@ -23,22 +23,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (
     MassMismatchError,
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
+from .krylov import Operator, gmres
 from .spectral import ScalarField, _solve_weighted_laplacian_arr
-from .state import (
-    NEWTON_GMRES_MAX_CYCLES,
-    NEWTON_GMRES_RESTART,
-    NEWTON_GMRES_TOL,
-    PhysParams,
-    SchemeConfig,
-    SimState,
-)
+from .state import PhysParams, SchemeConfig, SimState
+
+#: inner tolerance of the linearized Newton solves (inexact Newton)
+NEWTON_GMRES_TOL = 1e-4
+#: large restart: short restarts stagnate on the sharp-interface Jacobians
+NEWTON_GMRES_RESTART = 300
+NEWTON_GMRES_MAX_CYCLES = 2
 
 #: a previous state with a smaller minimum concentration is rejected outright
 MIN_CONCENTRATION = 1e-14
@@ -191,7 +190,8 @@ class _Step1System:
         return math.sqrt(self.grid.inner(a, a) + self.grid.inner(b, b))
 
     # -- stacked-vector interface for GMRES ----------------------------------
-    def operator(self, p: np.ndarray, n: np.ndarray) -> LinearOperator:
+    def operator(self, p: np.ndarray, n: np.ndarray) -> Operator:
+        """The Jacobian at (p, n) as a map on stacked (dp, dn) vectors."""
         n_sq = self.grid.n_modes**2
         shape = p.shape
 
@@ -201,21 +201,18 @@ class _Step1System:
             j_p, j_n = self.jacobian_action(p, n, dp, dn)
             return np.concatenate([j_p.ravel(), j_n.ravel()])
 
-        return LinearOperator((2 * n_sq, 2 * n_sq), matvec=matvec, dtype=float)
+        return matvec
 
-    def preconditioner(self) -> LinearOperator:
+    def preconditioner(self, z: np.ndarray) -> np.ndarray:
+        """Spectral preconditioner on a stacked (r_p, r_n) vector."""
         grid = self.grid
         n_sq = grid.n_modes**2
         shape = (grid.n_modes, grid.n_modes)
-
-        def apply(z: np.ndarray) -> np.ndarray:
-            rp = z[:n_sq].reshape(shape)
-            rn = z[n_sq:].reshape(shape)
-            out_p = grid.irfft(self._pre_p * grid.rfft(rp))
-            out_n = grid.irfft(self._pre_n * grid.rfft(rn))
-            return np.concatenate([out_p.ravel(), out_n.ravel()])
-
-        return LinearOperator((2 * n_sq, 2 * n_sq), matvec=apply, dtype=float)
+        rp = z[:n_sq].reshape(shape)
+        rn = z[n_sq:].reshape(shape)
+        out_p = grid.irfft(self._pre_p * grid.rfft(rp))
+        out_n = grid.irfft(self._pre_n * grid.rfft(rn))
+        return np.concatenate([out_p.ravel(), out_n.ravel()])
 
 
 def step1_residual(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
@@ -331,7 +328,6 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
 
     n_sq = grid.n_modes**2
     shape = p.shape
-    pre = system.preconditioner()
     iters = 0
 
     while res > threshold:
@@ -339,9 +335,9 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
             raise NoConvergenceError("ion-transport Newton solve exhausted", iters, res)
         rhs = -np.concatenate([r_p.ravel(), r_n.ravel()])
         op = system.operator(p, n)
-        z, _info = gmres(op, rhs, rtol=NEWTON_GMRES_TOL, atol=0.0,
-                         restart=NEWTON_GMRES_RESTART,
-                         maxiter=NEWTON_GMRES_MAX_CYCLES, M=pre)
+        z, info = gmres(op, rhs, rtol=NEWTON_GMRES_TOL, atol=0.0,
+                        restart=NEWTON_GMRES_RESTART,
+                        maxiter=NEWTON_GMRES_MAX_CYCLES, M=system.preconditioner)
         dp = z[:n_sq].reshape(shape)
         dn = z[n_sq:].reshape(shape)
         # exact mass conservation: the update never moves the (0,0) mode
@@ -360,7 +356,12 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
                 break
             alpha *= BACKTRACK_FACTOR
         if not accepted:
-            raise NoConvergenceError("ion-transport line search stalled", iters, res)
+            message = "ion-transport line search stalled"
+            if info > 0:
+                lin_res = np.linalg.norm(op(z) - rhs) / np.linalg.norm(rhs)
+                message += (f" after an unconverged inner GMRES solve ({info} iterations,"
+                            f" relative residual {lin_res:.3e} > {NEWTON_GMRES_TOL:g})")
+            raise NoConvergenceError(message, iters, res)
         p, n, r_p, r_n, res = trial_p, trial_n, t_rp, t_rn, t_res
         iters += 1
 

@@ -10,13 +10,6 @@ import numpy as np
 from .errors import NonPositiveConcentrationError
 from .spectral import Grid, ScalarField, VectorField
 
-#: inner tolerance of the linearized Newton solves (inexact Newton)
-NEWTON_GMRES_TOL = 1e-4
-#: large restart: short restarts stagnate on the sharp-interface Jacobians
-NEWTON_GMRES_RESTART = 300
-NEWTON_GMRES_MAX_CYCLES = 2
-
-
 @dataclass(frozen=True)
 class PhysParams:
     """Physical coefficients of the ion-transport / fluid system.
@@ -134,7 +127,6 @@ class StepDiagnostics:
     energy: EnergyBreakdown
     newton_iters: int
     krylov_iters_step2: int
-    cg_iters_projection: int
     residual_step1: float
     residual_step2: float
     wall_time_s: float = 0.0

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from pnpns import pnp
 from pnpns.errors import (
     MassMismatchError,
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
 from pnpns.pnp import (
+    _Step1System,
     chemical_potentials,
     compute_psi,
     functional_value,
@@ -201,6 +203,73 @@ class TestJacobian:
         assert num <= 1e-6 * den
 
 
+class TestGmres:
+    @pytest.fixture
+    def jacobian(self, grid8, rng):
+        """Step-1 Jacobian map, its preconditioner and its dense matrix on N=8."""
+        params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.7)
+        state = admissible_state(grid8, rng)
+        cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
+        system = _Step1System(state, params, dt=0.05)
+        op = system.operator(cand_p.values, cand_n.values)
+        dense = np.column_stack([op(e) for e in np.eye(2 * grid8.n_modes**2)])
+        return op, system.preconditioner, dense
+
+    def test_matches_dense_solve(self, jacobian, rng):
+        op, pre, dense = jacobian
+        b = rng.standard_normal(dense.shape[0])
+        rtol = 1e-10
+        x, info = pnp.gmres(op, b, rtol=rtol, restart=300, maxiter=2, M=pre)
+        expected = np.linalg.solve(dense, b)
+        assert info == 0
+        # a residual within rtol bounds the error by cond(J) * rtol
+        assert (np.linalg.norm(x - expected)
+                <= np.linalg.cond(dense) * rtol * np.linalg.norm(expected))
+
+    def test_callback_per_inner_iteration(self, jacobian, rng):
+        op, pre, dense = jacobian
+        b = rng.standard_normal(dense.shape[0])
+        matvecs = 0
+
+        def counted(z):
+            nonlocal matvecs
+            matvecs += 1
+            return op(z)
+
+        estimates = []
+        rtol = 1e-8
+        x, info = pnp.gmres(counted, b, rtol=rtol, restart=300, maxiter=1, M=pre,
+                            callback=estimates.append, callback_type="pr_norm")
+        assert info == 0
+        # one product per inner iteration plus the true-residual check
+        assert len(estimates) == matvecs - 1 > 1
+        assert estimates[-1] <= rtol
+        assert np.linalg.norm(b - dense @ x) <= rtol * np.linalg.norm(b)
+
+    def test_identity_happy_breakdown(self, rng):
+        b = rng.standard_normal(50)
+        estimates = []
+        x, info = pnp.gmres(lambda z: z.copy(), b, rtol=1e-12, restart=10,
+                            maxiter=2, callback=estimates.append)
+        assert info == 0
+        assert len(estimates) == 1
+        assert np.isfinite(x).all()
+        assert np.abs(x - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_singular_operator_reports_info(self, rng):
+        b = rng.standard_normal(50)
+        x, info = pnp.gmres(lambda z: np.zeros_like(z), b, rtol=1e-12, restart=10,
+                            maxiter=2)
+        assert info > 0
+        assert np.array_equal(x, np.zeros_like(b))
+
+    def test_exhausted_budget_reports_info(self, jacobian, rng):
+        op, pre, dense = jacobian
+        b = rng.standard_normal(dense.shape[0])
+        _, info = pnp.gmres(op, b, rtol=1e-10, restart=2, maxiter=1, M=pre)
+        assert info > 0
+
+
 class TestFunctional:
     def test_uniform_rest_value(self, grid16):
         from pnpns.state import SimState
@@ -305,6 +374,15 @@ class TestSolveStep1:
         with pytest.raises(NoConvergenceError):
             solve_step1(state, PhysParams(), cfg.dt, cfg)
 
+    def test_stall_names_unconverged_inner_solve(self, grid8, rng, monkeypatch):
+        state = admissible_state(grid8, rng)
+        cfg = SchemeConfig(n_modes=8, dt=0.02, t_final=0.02)
+        monkeypatch.setattr(pnp, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1))
+        with pytest.raises(NoConvergenceError,
+                           match=r"line search stalled after an unconverged inner GMRES "
+                                 r"solve \(1 iterations, relative residual 1\.000e\+00"):
+            solve_step1(state, PhysParams(), cfg.dt, cfg)
+
     def test_rejects_degenerate_previous_state(self, grid8, rng):
         state = admissible_state(grid8, rng)
         state.p.values[0, 0] = 1e-15
@@ -334,8 +412,19 @@ class TestSolveStep1:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.2)
 
-    def test_blob_preset_single_step(self, grid64):
+    def test_blob_preset_single_step(self, grid64, monkeypatch):
         """First transport step of the two-blob experiment at kappa = 1e4."""
+        inner_iters = []
+        solve = pnp.gmres
+
+        def counting(*args, **kwargs):
+            def callback(_estimate):
+                inner_iters[-1] += 1
+
+            inner_iters.append(0)
+            return solve(*args, callback=callback, callback_type="pr_norm", **kwargs)
+
+        monkeypatch.setattr(pnp, "gmres", counting)
         from pnpns.config import blob_concentration
         from pnpns.integrator import initialize
         params = PhysParams(epsilon=1.0, kappa=10000.0)
@@ -348,3 +437,6 @@ class TestSolveStep1:
         assert result.n_new.values.min() > 0
         assert abs(mass(result.p_new) - mass(state.p)) <= 1e-11 * mass(state.p)
         assert abs(mass(result.n_new) - mass(state.n)) <= 1e-11 * mass(state.n)
+        # Krylov-work guard: 58 + 155 + 175 = 388 inner iterations when written
+        assert len(inner_iters) == result.newton_iters == 3
+        assert sum(inner_iters) <= 1.25 * 388
