@@ -16,28 +16,9 @@ from .pnp import (
     functional_value,
     mobility,
     solve_step1,
-    step1_jacobian_action,
-    step1_residual,
 )
 from .snapshot import read_snapshot, read_snapshot_meta, write_snapshot
-from .spectral import (
-    Grid,
-    ScalarField,
-    SpectralCoeffs,
-    VectorField,
-    apply_weighted_laplacian,
-    ddx,
-    ddy,
-    div,
-    grad,
-    inner_product,
-    inv_laplacian_zero_mean,
-    inverse_transform,
-    laplacian,
-    make_grid,
-    solve_weighted_laplacian,
-    transform,
-)
+from .spectral import Grid, ScalarField, VectorField, make_grid
 from .state import (
     EnergyBreakdown,
     PhysParams,

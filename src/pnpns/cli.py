@@ -11,16 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import mms
 from .config import build_initial_state, load_config
 from .errors import NoConvergenceError, PnpnsError
 from .integrator import run
-from .snapshot import read_snapshot, read_snapshot_meta, write_snapshot
+from .snapshot import atomic_write, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import StepDiagnostics, mass
 
 DIAGNOSTICS_COLUMNS = (
@@ -51,17 +49,8 @@ def _diagnostics_row(diag: StepDiagnostics) -> list[str]:
     return [_fmt(c) for c in cells]
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_lines(path: Path, lines: list[str]) -> None:
+    atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _write_plot_data(state, path: Path) -> None:
@@ -77,7 +66,7 @@ def _write_plot_data(state, path: Path) -> None:
                 _fmt(grid.x[i]), _fmt(grid.y[j]), _fmt(charge[i, j]),
                 _fmt(state.u.x_comp.values[i, j]), _fmt(state.u.y_comp.values[i, j]),
             ])
-    _atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue().encode("ascii"))
 
 
 def cmd_run(config_path: str) -> int:
@@ -100,18 +89,21 @@ def cmd_run(config_path: str) -> int:
         return path
 
     rows = [",".join(DIAGNOSTICS_COLUMNS)]
+    diagnostics_path = out_dir / config.diagnostics_csv
     try:
         record = run(state, config.params, config.scheme, sources=forcing,
                      on_step=lambda diag: rows.append(",".join(_diagnostics_row(diag))),
                      snapshot_writer=snapshot_writer)
     except NoConvergenceError as exc:
+        # the steps completed before the failure are evidence: keep them
+        _write_lines(diagnostics_path, rows)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except PnpnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _atomic_write_text(out_dir / config.diagnostics_csv, "\n".join(rows) + "\n")
+    _write_lines(diagnostics_path, rows)
     final = record.final_state
     print(f"completed {len(record.diagnostics)} steps to t={final.time:g}; "
           f"mass_p={mass(final.p):.12g} mass_n={mass(final.n):.12g}; "
@@ -164,8 +156,7 @@ def cmd_convergence(config_path: str) -> int:
         csv_lines.append(",".join(
             [_fmt(c) for c in cells] + ["" if o is None else _fmt(o) for o in orders]
         ))
-    _atomic_write_text(config.output_dir / config.convergence_csv,
-                       "\n".join(csv_lines) + "\n")
+    _write_lines(config.output_dir / config.convergence_csv, csv_lines)
     print(_format_convergence_table(rows))
     return 0
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,13 +155,6 @@ def load_config(path, *, need_dt_list: bool = False) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-    steps = round(scheme.t_final / scheme.dt)
-    if not need_dt_list and (steps < 1 or not math.isclose(
-            steps * scheme.dt, scheme.t_final, rel_tol=1e-9, abs_tol=0.0)):
-        raise ConfigError(
-            f"{path}: t_final={scheme.t_final} is not a multiple of dt={scheme.dt}"
-        )
 
     return RunConfig(
         params=params,

@@ -16,7 +16,7 @@ from .errors import (
     NonPositiveConcentrationError,
 )
 from .ns import ion_forcing, velocity_step
-from .pnp import chemical_potentials, compute_psi, solve_step1
+from .pnp import compute_psi, solve_step1
 from .spectral import Grid, ScalarField, VectorField, make_grid
 from .state import (
     PhysParams,
@@ -38,13 +38,12 @@ class ForcingTerms(Protocol):
 
 @dataclass
 class RunRecord:
-    """Everything a finished (or failed) run leaves behind."""
+    """Everything a finished run leaves behind."""
 
     config: SchemeConfig
     params: PhysParams
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     snapshots: list[tuple[float, Path]] = field(default_factory=list)
-    status: str = "completed"
     final_state: SimState | None = None
 
 
@@ -65,7 +64,7 @@ def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
     Accepts arrays, ScalarFields or callables f(x, y) for the concentrations,
     and a VectorField / pair of arrays / pair of callables (or None for rest)
     for the velocity. The velocity is projected onto the divergence-free
-    space; psi, mu, nu are derived; phi defaults to zero.
+    space; psi is derived; phi defaults to zero.
     """
     grid = make_grid(cfg.n_modes)
     p = _as_scalar_field(p_in, grid)
@@ -91,7 +90,6 @@ def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
     u = VectorField.from_arrays(grid, px, py)
 
     psi = compute_psi(p, n, params.epsilon)
-    mu, nu = chemical_potentials(p, n, psi)
 
     if phi_in is None:
         phi = ScalarField.constant(grid, 0.0)
@@ -99,8 +97,7 @@ def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
         phi = _as_scalar_field(phi_in, grid)
         phi = ScalarField(grid, phi.values - phi.values.mean())
 
-    return SimState(p=p, n=n, psi=psi, mu=mu, nu=nu, u=u, u_tilde=u.copy(),
-                    phi=phi, step_index=0, time=0.0)
+    return SimState(p=p, n=n, psi=psi, u=u, phi=phi, step_index=0, time=0.0)
 
 
 def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
@@ -134,8 +131,7 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
 
     new_state = SimState(
         p=step1.p_new, n=step1.n_new, psi=step1.psi_new,
-        mu=step1.mu_new, nu=step1.nu_new,
-        u=vel.u_new, u_tilde=vel.u_tilde, phi=vel.phi_new,
+        u=vel.u_new, phi=vel.phi_new,
         step_index=state.step_index + 1, time=t_new,
     )
     energy = total_energy(new_state, params, dt)
@@ -170,11 +166,6 @@ def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
     the returned record. Deterministic: identical inputs give identical
     results.
     """
-    n_steps = cfg.n_steps
-    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(cfg.t_final, 1.0):
-        raise ConfigError(
-            f"t_final={cfg.t_final} is not an integer number of steps of dt={cfg.dt}"
-        )
     pending = sorted(cfg.snapshot_times)
     if pending and snapshot_writer is None:
         raise ConfigError("snapshot_times given but no snapshot writer supplied")
@@ -184,13 +175,12 @@ def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
     while pending and pending[0] <= state.time:
         record.snapshots.append((pending.pop(0), snapshot_writer(state)))
 
-    for _ in range(n_steps):
+    for _ in range(cfg.n_steps):
         state, diag = advance(state, params, cfg, sources)
         record.diagnostics.append(diag)
         if on_step is not None:
             on_step(diag)
         while pending and state.time >= pending[0] - 1e-12:
             record.snapshots.append((pending.pop(0), snapshot_writer(state)))
-    record.status = "completed"
     record.final_state = state
     return record

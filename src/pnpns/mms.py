@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .errors import ConfigError
 from .integrator import initialize, run
@@ -52,6 +51,8 @@ def forcing_expressions(syms, p, n, psi, u1, u2, pressure, params: PhysParams):
     forms below and, in tests, with degenerate fields (constants give
     identically zero forcing).
     """
+    import sympy as sp
+
     x, y, t = syms
     kappa = sp.Float(params.kappa)
     diff = sp.Float(params.diffusion)
@@ -78,6 +79,8 @@ def forcing_expressions(syms, p, n, psi, u1, u2, pressure, params: PhysParams):
 
 
 def _symbolic_fields(variant: str, params: PhysParams):
+    import sympy as sp
+
     x, y, t = sp.symbols("x y t", real=True)
     eps = sp.Float(params.epsilon)
 
@@ -171,6 +174,8 @@ class MMSCase:
 @lru_cache(maxsize=8)
 def make_case(params: PhysParams, variant: str = DIVERGENCE_FREE) -> MMSCase:
     """Build (and cache) the symbolic case for one parameter set."""
+    import sympy as sp
+
     syms, exprs = _symbolic_fields(variant, params)
     fns = {name: sp.lambdify(syms, expr, modules="numpy")
            for name, expr in exprs.items()}
@@ -204,13 +209,10 @@ class ConvergenceRow:
     order_psi: float | None = None
 
 
-def _errors_for_dt(n_modes: int, dt: float, t_final: float,
-                   params: PhysParams, variant: str,
-                   newton_tol: float) -> tuple[float, float, float, float]:
-    cfg = SchemeConfig(n_modes=n_modes, dt=dt, t_final=t_final,
-                       newton_tol=newton_tol)
+def _errors_for_cfg(cfg: SchemeConfig, params: PhysParams,
+                    variant: str) -> tuple[float, float, float, float]:
     case = make_case(params, variant)
-    grid = make_grid(n_modes)
+    grid = make_grid(cfg.n_modes)
     state = case.initial_state(cfg)
     record = run(state, params, cfg, sources=case)
     final = record.final_state
@@ -220,7 +222,7 @@ def _errors_for_dt(n_modes: int, dt: float, t_final: float,
 
 
 def _worker(args):
-    return _errors_for_dt(*args)
+    return _errors_for_cfg(*args)
 
 
 def convergence_study(dt_list, n_modes: int, t_final: float, params: PhysParams,
@@ -238,12 +240,13 @@ def convergence_study(dt_list, n_modes: int, t_final: float, params: PhysParams,
         raise ConfigError("dt_list must not be empty")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ConfigError("dt_list must be strictly decreasing")
-    for dt in dts:
-        steps = round(t_final / dt)
-        if steps < 1 or abs(steps * dt - t_final) > 1e-12 * max(1.0, t_final):
-            raise ConfigError(f"dt={dt} does not divide t_final={t_final}")
+    try:
+        cfgs = [SchemeConfig(n_modes=n_modes, dt=dt, t_final=t_final,
+                             newton_tol=newton_tol) for dt in dts]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    jobs = [(n_modes, dt, t_final, params, variant, newton_tol) for dt in dts]
+    jobs = [(cfg, params, variant) for cfg in cfgs]
     if max_workers is not None and max_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
             errors = list(pool.map(_worker, jobs))

@@ -105,16 +105,12 @@ def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
 
 def solve_velocity(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
                    extra_source: VectorField | None, params: PhysParams,
-                   dt: float, cfg: SchemeConfig) -> VectorField:
-    """Step-2 intermediate velocity (see module docstring)."""
-    u_tilde, _, _ = _solve_velocity_impl(u_m, phi_m, forcing, extra_source,
-                                         params, dt, cfg)
-    return u_tilde
+                   dt: float, cfg: SchemeConfig) -> tuple[VectorField, int, float]:
+    """Step-2 intermediate velocity (see module docstring).
 
-
-def _solve_velocity_impl(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
-                         extra_source: VectorField | None, params: PhysParams,
-                         dt: float, cfg: SchemeConfig) -> tuple[VectorField, int, float]:
+    Returns (u_tilde, operator applications, worst relative residual of the
+    two component solves).
+    """
     grid = u_m.grid
     gx, gy = grid.grad(phi_m.values)
     rhs_x = u_m.x_comp.values / dt - gx + forcing.x_comp.values
@@ -159,8 +155,8 @@ def velocity_step(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
                   extra_source: VectorField | None, params: PhysParams,
                   dt: float, cfg: SchemeConfig) -> VelocityResult:
     """Run Steps 2 and 3 together."""
-    u_tilde, iters, residual = _solve_velocity_impl(u_m, phi_m, forcing,
-                                                    extra_source, params, dt, cfg)
+    u_tilde, iters, residual = solve_velocity(u_m, phi_m, forcing, extra_source,
+                                              params, dt, cfg)
     u_new, phi_new = project_velocity(u_tilde, phi_m, dt)
     return VelocityResult(u_tilde=u_tilde, u_new=u_new, phi_new=phi_new,
                           krylov_iters=iters, residual=residual)

@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveConcentrationError,
 )
 from .krylov import Operator, gmres
-from .spectral import ScalarField, _solve_weighted_laplacian_arr
+from .spectral import ScalarField
 from .state import PhysParams, SchemeConfig, SimState
 
 #: inner tolerance of the linearized Newton solves (inexact Newton)
@@ -107,7 +107,7 @@ def _require_positive(values: np.ndarray, name: str) -> None:
         raise NonPositiveConcentrationError(f"{name} must be positive, min={m:.3e}")
 
 
-class _Step1System:
+class Step1System:
     """Per-step residual/Jacobian machinery on raw arrays.
 
     Everything that depends only on the previous state is precomputed once:
@@ -215,35 +215,6 @@ class _Step1System:
         return np.concatenate([out_p.ravel(), out_n.ravel()])
 
 
-def step1_residual(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
-                   params: PhysParams, dt: float,
-                   sources: tuple[ScalarField, ScalarField] | None = None,
-                   dealias: bool = False) -> tuple[ScalarField, ScalarField]:
-    """Strong-form collocation residual of the ion-transport step."""
-    src = None
-    if sources is not None:
-        src = (sources[0].values, sources[1].values)
-    system = _Step1System(prev, params, dt, dealias, src)
-    r_p, r_n = system.residual(cand_p.values, cand_n.values)
-    grid = prev.grid
-    return ScalarField(grid, r_p), ScalarField(grid, r_n)
-
-
-def step1_jacobian_action(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
-                          dp: ScalarField, dn: ScalarField,
-                          params: PhysParams, dt: float,
-                          sources: tuple[ScalarField, ScalarField] | None = None,
-                          dealias: bool = False) -> tuple[ScalarField, ScalarField]:
-    """Directional derivative of step1_residual at (cand_p, cand_n)."""
-    src = None
-    if sources is not None:
-        src = (sources[0].values, sources[1].values)
-    system = _Step1System(prev, params, dt, dealias, src)
-    j_p, j_n = system.jacobian_action(cand_p.values, cand_n.values, dp.values, dn.values)
-    grid = prev.grid
-    return ScalarField(grid, j_p), ScalarField(grid, j_n)
-
-
 def functional_value(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
                      params: PhysParams, dt: float,
                      lm_tol: float = 1e-12) -> float:
@@ -283,7 +254,7 @@ def functional_value(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
         diff = cand - ref
         diff = diff - diff.mean()  # strip quadrature-level roundoff
         if grid.norm(diff) > 0.0:
-            inv_diff, _ = _solve_weighted_laplacian_arr(grid, m, diff, tol=lm_tol)
+            inv_diff = grid.solve_weighted_laplacian(m, diff, tol=lm_tol)
             total += grid.inner(diff, inv_diff) / (2.0 * d * dt)
 
     ux = prev.u.x_comp.values
@@ -291,7 +262,7 @@ def functional_value(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
     for cand, ref, m in ((p_star, prev.p.values, m_p), (n_star, prev.n.values, m_n)):
         conv = grid.div(ref * ux, ref * uy)
         if grid.norm(conv) > 0.0:
-            inv_conv, _ = _solve_weighted_laplacian_arr(grid, m, conv, tol=lm_tol)
+            inv_conv = grid.solve_weighted_laplacian(m, conv, tol=lm_tol)
             total += grid.inner(inv_conv, cand) / d
 
     total += grid.integral(p_star * (np.log(p_star) - 1.0))
@@ -317,7 +288,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     src = None
     if sources is not None:
         src = (sources[0].values, sources[1].values)
-    system = _Step1System(prev, params, dt, cfg.dealias, src)
+    system = Step1System(prev, params, dt, cfg.dealias, src)
     grid = prev.grid
 
     p = prev.p.values.copy()
@@ -365,27 +336,27 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         p, n, r_p, r_n, res = trial_p, trial_n, t_rp, t_rn, t_res
         iters += 1
 
-    psi = grid.inv_laplacian_zero_mean((p - n) / params.epsilon)
-    mu = np.log(p) + psi
-    nu = np.log(n) - psi
-
     for new, old, name in ((p, system.p_prev, "p"), (n, system.n_prev, "n")):
         drift = abs(grid.integral(new) - grid.integral(old))
         if drift > 1e-11 * abs(grid.integral(old)):
             raise MassMismatchError(f"step lost {name}-mass: drift {drift:.3e}")
 
+    p_new = ScalarField(grid, p)
+    n_new = ScalarField(grid, n)
+    psi_new = compute_psi(p_new, n_new, params.epsilon)
+    mu_new, nu_new = chemical_potentials(p_new, n_new, psi_new)
+
     j_initial = j_final = math.nan
     if cfg.track_functional:
         j_initial = functional_value(prev, prev.p, prev.n, params, dt)
-        j_final = functional_value(prev, ScalarField(grid, p), ScalarField(grid, n),
-                                   params, dt)
+        j_final = functional_value(prev, p_new, n_new, params, dt)
 
     return Step1Result(
-        p_new=ScalarField(grid, p),
-        n_new=ScalarField(grid, n),
-        psi_new=ScalarField(grid, psi),
-        mu_new=ScalarField(grid, mu),
-        nu_new=ScalarField(grid, nu),
+        p_new=p_new,
+        n_new=n_new,
+        psi_new=psi_new,
+        mu_new=mu_new,
+        nu_new=nu_new,
         newton_iters=iters,
         final_residual=res,
         j_initial=j_initial,

@@ -8,14 +8,15 @@ Layout:
   * the fields p, n, psi, phi, u_x, u_y as little-endian float64, row-major,
     in that order.
 
-Writes are atomic (temp file + rename). Reading reconstructs mu and nu from
-p, n, psi; the pre-projection velocity is not stored, so u_tilde is set to
-the projected velocity on load.
+Writes are atomic (temp file + rename). Reading validates the metadata and
+rejects non-positive concentrations, since a snapshot is outside input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import RejectedGridError, SnapshotError
-from .pnp import chemical_potentials
+from .errors import NonPositiveConcentrationError, RejectedGridError, SnapshotError
 from .spectral import ScalarField, VectorField, make_grid
 from .state import PhysParams, SimState
 
@@ -32,6 +32,25 @@ MAGIC = b"PNPNSSNP"
 VERSION = 1
 HEADER_SIZE = 64
 FIELD_ORDER = ("p", "n", "psi", "phi", "u_x", "u_y")
+
+
+def atomic_write(path: Path, *chunks: bytes) -> None:
+    """Write the chunks to path through a temp file and a rename.
+
+    Readers see either the old file or the complete new one, never a
+    partial write; the parent directory is created if needed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
 
 def write_snapshot(state: SimState, params: PhysParams, path) -> Path:
@@ -42,12 +61,7 @@ def write_snapshot(state: SimState, params: PhysParams, path) -> Path:
         "n_modes": n,
         "time": state.time,
         "step_index": state.step_index,
-        "params": {
-            "epsilon": params.epsilon,
-            "kappa": params.kappa,
-            "diffusion": params.diffusion,
-            "viscosity": params.viscosity,
-        },
+        "params": dataclasses.asdict(params),
         "fields": list(FIELD_ORDER),
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -58,18 +72,7 @@ def write_snapshot(state: SimState, params: PhysParams, path) -> Path:
               state.phi.values, state.u.x_comp.values, state.u.y_comp.values)
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(meta_bytes)
-            fh.write(payload)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    atomic_write(path, header, meta_bytes, payload)
     return path
 
 
@@ -89,9 +92,33 @@ def _read_meta(fh, path: Path) -> dict:
         meta = json.loads(meta_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"{path}: corrupt metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SnapshotError(f"{path}: metadata is not a JSON object")
     if list(meta.get("fields", ())) != list(FIELD_ORDER):
         raise SnapshotError(f"{path}: unexpected field order {meta.get('fields')}")
+    _check_meta(meta, path)
     return meta
+
+
+def _check_meta(meta: dict, path: Path) -> None:
+    """Types and ranges of the metadata entries the readers rely on."""
+    def bad(key: str) -> SnapshotError:
+        return SnapshotError(f"{path}: bad or missing {key!r} in metadata: "
+                             f"{meta.get(key)!r}")
+
+    n = meta.get("n_modes")
+    if type(n) is not int or n < 4 or n % 2 != 0:
+        raise bad("n_modes")
+    step = meta.get("step_index")
+    if type(step) is not int or step < 0:
+        raise bad("step_index")
+    t = meta.get("time")
+    if type(t) not in (int, float) or not math.isfinite(t):
+        raise bad("time")
+    try:
+        PhysParams(**meta.get("params"))
+    except (TypeError, ValueError) as exc:
+        raise SnapshotError(f"{path}: invalid params in metadata: {exc}") from exc
 
 
 def read_snapshot_meta(path) -> dict:
@@ -106,7 +133,7 @@ def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
     path = Path(path)
     with open(path, "rb") as fh:
         meta = _read_meta(fh, path)
-        n = int(meta["n_modes"])
+        n = meta["n_modes"]
         if expected_n_modes is not None and n != expected_n_modes:
             raise RejectedGridError(
                 f"{path}: snapshot is {n}x{n}, "
@@ -128,11 +155,13 @@ def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
     psi = ScalarField(grid, fields[2].copy())
     phi = ScalarField(grid, fields[3].copy())
     u = VectorField.from_arrays(grid, fields[4].copy(), fields[5].copy())
-    mu, nu = chemical_potentials(p, n_field, psi)
-    return SimState(p=p, n=n_field, psi=psi, mu=mu, nu=nu, u=u,
-                    u_tilde=u.copy(), phi=phi,
-                    step_index=int(meta["step_index"]),
-                    time=float(meta["time"]))
+    for name, f in (("p", p), ("n", n_field)):
+        f_min = f.values.min()
+        if f_min <= 0.0:
+            raise NonPositiveConcentrationError(
+                f"{path}: {name} must be positive, min={f_min:.3e}")
+    return SimState(p=p, n=n_field, psi=psi, u=u, phi=phi,
+                    step_index=meta["step_index"], time=float(meta["time"]))
 
 
 def read_snapshot_params(path) -> PhysParams:

@@ -52,7 +52,6 @@ class Grid:
             raise ValueError(f"n_modes must be even and >= 4, got {n_modes}")
         self.n_modes = int(n_modes)
         n = self.n_modes
-        self.domain_length = TWO_PI
         self.weight = (TWO_PI / n) ** 2
 
         coords = np.arange(n) * (TWO_PI / n)
@@ -137,9 +136,6 @@ class Grid:
     def norm(self, values: np.ndarray) -> float:
         return float(np.sqrt((values * values).sum() * self.weight))
 
-    def mean(self, values: np.ndarray) -> float:
-        return float(values.mean())
-
     # -- elliptic solves ---------------------------------------------------------
     def inv_laplacian_zero_mean(self, values: np.ndarray) -> np.ndarray:
         """Solve -lap(g) = values with <g, 1> = 0; requires zero-mean input."""
@@ -160,6 +156,70 @@ class Grid:
         # lap(chi) = div v, gradient-consistent inverse, zero mean
         chi = -d * self._inv_k2_grad
         return self.irfft(sx - self._ikx * chi), self.irfft(sy - self._iky * chi)
+
+    def apply_weighted_laplacian(self, m_values: np.ndarray,
+                                 f_values: np.ndarray) -> np.ndarray:
+        """-div(M grad f) with the product formed in physical space.
+
+        This is the collocation realization of the weak operator
+        <out, v> = <M grad f, grad v> for every test field v; for the uniform
+        grid the two coincide because the differentiation matrix is
+        antisymmetric.
+        """
+        _check_mobility(m_values)
+        gx, gy = self.grad(f_values)
+        return -self.div(m_values * gx, m_values * gy)
+
+    def solve_weighted_laplacian(self, m_values: np.ndarray, f_values: np.ndarray,
+                                 tol: float = CG_DEFAULT_TOL,
+                                 max_iter: int | None = None) -> np.ndarray:
+        """Solve -div(M grad g) = f for the zero-mean g.
+
+        Conjugate gradients preconditioned with the constant-coefficient
+        inverse Laplacian (diagonal in Fourier space). The right-hand side
+        must have zero mean; the solution mean is pinned to zero.
+        """
+        _check_mobility(m_values)
+        n = self.n_modes
+        rhs_norm = self.norm(f_values)
+        if abs(self.integral(f_values)) > 1e-10 * max(rhs_norm, 1e-300):
+            raise NonZeroMeanError(
+                f"solve requires a zero-mean rhs; <f,1>={self.integral(f_values):.3e}"
+            )
+        if rhs_norm == 0.0:
+            return np.zeros_like(f_values)
+        if max_iter is None:
+            max_iter = CG_MAX_ITER_PER_MODE * n
+
+        shape = (n, n)
+
+        def matvec(vec: np.ndarray) -> np.ndarray:
+            return self.apply_weighted_laplacian(m_values, vec.reshape(shape)).ravel()
+
+        def precond(vec: np.ndarray) -> np.ndarray:
+            spec = self.rfft(vec.reshape(shape))
+            # zero-mean component through (-lap)^{-1}; the (0,0) mode passes
+            # through unchanged so the operator stays SPD on all of R^{N^2}
+            dc = spec[0, 0]
+            spec = spec * self._inv_k2
+            spec[0, 0] = dc
+            return self.irfft(spec).ravel()
+
+        op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
+        pre = LinearOperator((n * n, n * n), matvec=precond, dtype=float)
+        iters = 0
+
+        def count(_xk):
+            nonlocal iters
+            iters += 1
+
+        sol, info = cg(op, f_values.ravel(), rtol=tol, atol=0.0,
+                       maxiter=max_iter, M=pre, callback=count)
+        g = sol.reshape(shape)
+        if info > 0:
+            res = self.norm(matvec(sol).reshape(shape) - f_values) / rhs_norm
+            raise NoConvergenceError("weighted Poisson solve stalled", iters, res)
+        return g - g.mean()
 
     # -- products ------------------------------------------------------------------
     def multiply(self, a: np.ndarray, b: np.ndarray, dealias: bool = False) -> np.ndarray:
@@ -266,24 +326,10 @@ class VectorField:
         return VectorField(self.x_comp.copy(), self.y_comp.copy())
 
 
-@dataclass
-class SpectralCoeffs:
-    """Fourier amplitudes c[k, l] in numpy fft ordering, k, l in [-N/2, N/2).
-
-    Normalized so that f(x, y) = sum c[k, l] exp(i(kx + ly)); the (0, 0)
-    entry is the mean of the field.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n_modes
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (n, n):
-            raise GridMismatchError(
-                f"expected shape {(n, n)}, got {self.coeffs.shape}"
-            )
+def vector_norm(v: VectorField) -> float:
+    g = v.grid
+    return float(np.sqrt(g.inner(v.x_comp.values, v.x_comp.values)
+                         + g.inner(v.y_comp.values, v.y_comp.values)))
 
 
 def _require_same_grid(*fields) -> Grid:
@@ -294,144 +340,7 @@ def _require_same_grid(*fields) -> Grid:
     return grid
 
 
-# ---------------------------------------------------------------------------
-# field-level operations
-# ---------------------------------------------------------------------------
-
-def transform(f: ScalarField) -> SpectralCoeffs:
-    """Forward DFT, amplitude-normalized (constant field -> c[0,0] = const)."""
-    n = f.grid.n_modes
-    return SpectralCoeffs(f.grid, np.fft.fft2(f.values) / (n * n))
-
-
-def inverse_transform(c: SpectralCoeffs) -> ScalarField:
-    n = c.grid.n_modes
-    return ScalarField(c.grid, np.real(np.fft.ifft2(c.coeffs * (n * n))))
-
-
-def ddx(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.ddx(f.values))
-
-
-def ddy(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.ddy(f.values))
-
-
-def grad(f: ScalarField) -> VectorField:
-    gx, gy = f.grid.grad(f.values)
-    return VectorField.from_arrays(f.grid, gx, gy)
-
-
-def div(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, v.grid.div(v.x_comp.values, v.y_comp.values))
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.laplacian(f.values))
-
-
-def inner_product(u: ScalarField, v: ScalarField) -> float:
-    grid = _require_same_grid(u, v)
-    return grid.inner(u.values, v.values)
-
-
-def norm(f: ScalarField) -> float:
-    return f.grid.norm(f.values)
-
-
-def vector_norm(v: VectorField) -> float:
-    g = v.grid
-    return float(np.sqrt(g.inner(v.x_comp.values, v.x_comp.values)
-                         + g.inner(v.y_comp.values, v.y_comp.values)))
-
-
-def inv_laplacian_zero_mean(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, f.grid.inv_laplacian_zero_mean(f.values))
-
-
-def apply_weighted_laplacian(mobility: ScalarField, f: ScalarField) -> ScalarField:
-    """-div(M grad f) with the product formed in physical space.
-
-    This is the collocation realization of the weak operator
-    <out, v> = <M grad f, grad v> for every test field v; for the uniform
-    grid the two coincide because the differentiation matrix is
-    antisymmetric.
-    """
-    grid = _require_same_grid(mobility, f)
-    return ScalarField(grid, _apply_weighted_laplacian_arr(grid, mobility.values, f.values))
-
-
 def _check_mobility(m_values: np.ndarray) -> None:
     m_min = m_values.min()
     if m_min <= 0.0:
         raise NonPositiveMobilityError(f"mobility must be positive, min={m_min:.3e}")
-
-
-def _apply_weighted_laplacian_arr(grid: Grid, m_values: np.ndarray,
-                                  f_values: np.ndarray) -> np.ndarray:
-    _check_mobility(m_values)
-    gx, gy = grid.grad(f_values)
-    return -grid.div(m_values * gx, m_values * gy)
-
-
-def solve_weighted_laplacian(mobility: ScalarField, f: ScalarField,
-                             tol: float = CG_DEFAULT_TOL,
-                             max_iter: int | None = None) -> ScalarField:
-    """Solve -div(M grad g) = f for the zero-mean g.
-
-    Conjugate gradients preconditioned with the constant-coefficient inverse
-    Laplacian (diagonal in Fourier space). The right-hand side must have
-    zero mean; the solution mean is pinned to zero.
-    """
-    grid = _require_same_grid(mobility, f)
-    g, _ = _solve_weighted_laplacian_arr(grid, mobility.values, f.values, tol, max_iter)
-    return ScalarField(grid, g)
-
-
-def _solve_weighted_laplacian_arr(grid: Grid, m_values: np.ndarray,
-                                  f_values: np.ndarray, tol: float = CG_DEFAULT_TOL,
-                                  max_iter: int | None = None) -> tuple[np.ndarray, int]:
-    _check_mobility(m_values)
-    n = grid.n_modes
-    rhs_norm = grid.norm(f_values)
-    if abs(grid.integral(f_values)) > 1e-10 * max(rhs_norm, 1e-300):
-        raise NonZeroMeanError(
-            f"solve requires a zero-mean rhs; <f,1>={grid.integral(f_values):.3e}"
-        )
-    if rhs_norm == 0.0:
-        return np.zeros_like(f_values), 0
-    if max_iter is None:
-        max_iter = CG_MAX_ITER_PER_MODE * n
-
-    shape = (n, n)
-
-    def matvec(vec: np.ndarray) -> np.ndarray:
-        w = vec.reshape(shape)
-        gx, gy = grid.grad(w)
-        return (-grid.div(m_values * gx, m_values * gy)).ravel()
-
-    def precond(vec: np.ndarray) -> np.ndarray:
-        spec = grid.rfft(vec.reshape(shape))
-        # zero-mean component through (-lap)^{-1}; the (0,0) mode passes
-        # through unchanged so the operator stays SPD on all of R^{N^2}
-        dc = spec[0, 0]
-        spec = spec * grid._inv_k2
-        spec[0, 0] = dc
-        return grid.irfft(spec).ravel()
-
-    op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    pre = LinearOperator((n * n, n * n), matvec=precond, dtype=float)
-    iters = 0
-
-    def count(_xk):
-        nonlocal iters
-        iters += 1
-
-    sol, info = cg(op, f_values.ravel(), rtol=tol, atol=0.0,
-                   maxiter=max_iter, M=pre, callback=count)
-    g = sol.reshape(shape)
-    if info > 0:
-        res = grid.norm(matvec(sol).reshape(shape) - f_values) / rhs_norm
-        raise NoConvergenceError("weighted Poisson solve stalled", iters, res)
-    g = g - g.mean()
-    return g, iters

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,8 +53,12 @@ class SchemeConfig:
             raise ValueError(f"n_modes must be even and >= 4, got {self.n_modes}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < self.dt:
-            raise ValueError(f"t_final must be at least dt, got {self.t_final}")
+        steps = self.n_steps
+        if steps < 1 or not math.isclose(steps * self.dt, self.t_final,
+                                         rel_tol=1e-9, abs_tol=0.0):
+            raise ValueError(
+                f"t_final={self.t_final} is not a multiple of dt={self.dt}"
+            )
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -64,21 +69,17 @@ class SchemeConfig:
 
 @dataclass
 class SimState:
-    """Full discrete state at one time level.
+    """Discrete state at one time level.
 
     p, n are the ion concentrations (positive everywhere), psi the zero-mean
-    electric potential, mu/nu the chemical potentials ln p + psi / ln n - psi,
-    u the projected velocity, u_tilde the pre-projection velocity from the
-    last step, phi the zero-mean modified pressure.
+    electric potential, u the projected velocity, phi the zero-mean modified
+    pressure.
     """
 
     p: ScalarField
     n: ScalarField
     psi: ScalarField
-    mu: ScalarField
-    nu: ScalarField
     u: VectorField
-    u_tilde: VectorField
     phi: ScalarField
     step_index: int = 0
     time: float = 0.0

@@ -9,7 +9,7 @@ content is outside the contract of the first-derivative operators.
 import numpy as np
 import pytest
 
-from pnpns.pnp import chemical_potentials, compute_psi
+from pnpns.pnp import compute_psi
 from pnpns.spectral import Grid, ScalarField, VectorField, make_grid
 from pnpns.state import SimState
 
@@ -78,10 +78,8 @@ def admissible_state(grid: Grid, rng, wobble: float = 0.3,
     p = ScalarField(grid, p_vals)
     n = ScalarField(grid, n_vals)
     psi = compute_psi(p, n, 1.0)
-    mu, nu = chemical_potentials(p, n, psi)
     ux, uy = div_free_velocity(grid, rng, amplitude=speed)
     u = VectorField.from_arrays(grid, ux, uy)
     phi_vals = band_limited(grid, rng, amplitude=0.2)
     phi = ScalarField(grid, phi_vals - phi_vals.mean())
-    return SimState(p=p, n=n, psi=psi, mu=mu, nu=nu, u=u, u_tilde=u.copy(),
-                    phi=phi, step_index=0, time=0.0)
+    return SimState(p=p, n=n, psi=psi, u=u, phi=phi, step_index=0, time=0.0)

@@ -16,16 +16,8 @@ from pnpns import mms
 from pnpns.config import blob_concentration
 from pnpns.integrator import advance, initialize, run
 from pnpns.ns import project_velocity
-from pnpns.pnp import functional_value, solve_step1, step1_jacobian_action, step1_residual
-from pnpns.spectral import (
-    ScalarField,
-    VectorField,
-    apply_weighted_laplacian,
-    make_grid,
-    solve_weighted_laplacian,
-    transform,
-    vector_norm,
-)
+from pnpns.pnp import Step1System, functional_value, solve_step1
+from pnpns.spectral import ScalarField, VectorField, make_grid, vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 from conftest import admissible_state, band_limited, positive_field
@@ -243,24 +235,18 @@ def test_criterion_4_jacobian_vs_finite_differences():
         dn_vals = band_limited(grid, rng, kmax=3)
         dp_vals -= dp_vals.mean()
         dn_vals -= dn_vals.mean()
-        cand_p = state.p.copy()
-        cand_n = state.n.copy()
-        j_p, j_n = step1_jacobian_action(
-            state, cand_p, cand_n, ScalarField(grid, dp_vals),
-            ScalarField(grid, dn_vals), params, dt)
+        cand_p = state.p.values.copy()
+        cand_n = state.n.values.copy()
+        system = Step1System(state, params, dt)
+        j_p, j_n = system.jacobian_action(cand_p, cand_n, dp_vals, dn_vals)
         h = 1e-5
-        rp_f, rn_f = step1_residual(
-            state, ScalarField(grid, cand_p.values + h * dp_vals),
-            ScalarField(grid, cand_n.values + h * dn_vals), params, dt)
-        rp_b, rn_b = step1_residual(
-            state, ScalarField(grid, cand_p.values - h * dp_vals),
-            ScalarField(grid, cand_n.values - h * dn_vals), params, dt)
-        fd_p = (rp_f.values - rp_b.values) / (2 * h)
-        fd_n = (rn_f.values - rn_b.values) / (2 * h)
-        num = math.sqrt(grid.inner(fd_p - j_p.values, fd_p - j_p.values)
-                        + grid.inner(fd_n - j_n.values, fd_n - j_n.values))
-        den = math.sqrt(grid.inner(j_p.values, j_p.values)
-                        + grid.inner(j_n.values, j_n.values))
+        rp_f, rn_f = system.residual(cand_p + h * dp_vals, cand_n + h * dn_vals)
+        rp_b, rn_b = system.residual(cand_p - h * dp_vals, cand_n - h * dn_vals)
+        fd_p = (rp_f - rp_b) / (2 * h)
+        fd_n = (rn_f - rn_b) / (2 * h)
+        num = math.sqrt(grid.inner(fd_p - j_p, fd_p - j_p)
+                        + grid.inner(fd_n - j_n, fd_n - j_n))
+        den = math.sqrt(grid.inner(j_p, j_p) + grid.inner(j_n, j_n))
         worst = max(worst, num / den)
         assert num <= 1e-6 * den
     _report("4 Jacobian vs finite differences", f"worst rel. err {worst:.2e}")
@@ -273,21 +259,20 @@ def test_criterion_4_weighted_laplacian_vs_dense_assembly():
         rng = np.random.default_rng(120_000 + trial)
         m_vals = positive_field(grid, rng, base=1.4, wobble=0.5, kmax=3)
         f_vals = band_limited(grid, rng, kmax=3)
-        m = ScalarField(grid, m_vals)
         dense_mat = dense_weighted_laplacian(m_vals)
 
-        ours = apply_weighted_laplacian(m, ScalarField(grid, f_vals)).values
+        ours = grid.apply_weighted_laplacian(m_vals, f_vals)
         dense = (dense_mat @ f_vals.ravel()).reshape(8, 8)
         scale = max(np.abs(dense).max(), 1.0)
         worst_apply = max(worst_apply, np.abs(ours - dense).max() / scale)
         assert np.abs(ours - dense).max() <= 1e-9 * scale
 
         rhs = f_vals - f_vals.mean()
-        solved = solve_weighted_laplacian(m, ScalarField(grid, rhs), tol=1e-14)
+        solved = grid.solve_weighted_laplacian(m_vals, rhs, tol=1e-14)
         dense_sol = dense_solve_zero_mean(dense_mat, rhs)
         scale = max(np.abs(dense_sol).max(), 1e-6)
-        worst_solve = max(worst_solve, np.abs(solved.values - dense_sol).max() / scale)
-        assert np.abs(solved.values - dense_sol).max() <= 1e-9 * scale
+        worst_solve = max(worst_solve, np.abs(solved - dense_sol).max() / scale)
+        assert np.abs(solved - dense_sol).max() <= 1e-9 * scale
     _report("4 weighted Laplacian vs dense weak form",
             f"apply {worst_apply:.2e}, solve {worst_solve:.2e}")
 
@@ -297,9 +282,9 @@ def test_criterion_4_transform_vs_direct_dft():
     worst = 0.0
     for trial in range(10):
         rng = np.random.default_rng(130_000 + trial)
-        f = ScalarField(grid, rng.standard_normal((8, 8)))
-        ours = transform(f).coeffs
-        direct = direct_dft2(f.values)
+        values = rng.standard_normal((8, 8))
+        ours = grid.rfft(values) / 8**2
+        direct = direct_dft2(values)[:, :8 // 2 + 1]
         err = np.abs(ours - direct).max() / np.abs(direct).max()
         worst = max(worst, err)
         assert err <= 1e-12

@@ -1,21 +1,31 @@
 """Configuration parsing, snapshot format, command-line front end."""
 
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from pnpns import mms
+from pnpns import integrator, mms
 from pnpns.cli import main
 from pnpns.config import blob_concentration, build_initial_state, load_config
-from pnpns.errors import ConfigError, RejectedGridError, SnapshotError
+from pnpns.errors import (
+    ConfigError,
+    NoConvergenceError,
+    NonPositiveConcentrationError,
+    RejectedGridError,
+    SnapshotError,
+)
 from pnpns.integrator import initialize
 from pnpns.snapshot import (
+    HEADER_SIZE,
     read_snapshot,
     read_snapshot_meta,
     read_snapshot_params,
     write_snapshot,
 )
+from pnpns.spectral import ScalarField
 from pnpns.state import PhysParams, SchemeConfig, mass
 
 
@@ -35,6 +45,28 @@ def write_config(path, **overrides):
             doc[key] = value
     path.write_text(json.dumps(doc))
     return path
+
+
+def rewrite_meta(path, changes, payload_n=None):
+    """Replace snapshot metadata entries in place; a None value drops the key.
+
+    With payload_n the fields are replaced by ones on a payload_n grid, so
+    that the payload size agrees with a rewritten n_modes.
+    """
+    raw = path.read_bytes()
+    meta_len = struct.unpack("<I", raw[12:16])[0]
+    meta = json.loads(raw[HEADER_SIZE:HEADER_SIZE + meta_len])
+    for key, value in changes.items():
+        if value is None:
+            meta.pop(key)
+        else:
+            meta[key] = value
+    meta_bytes = json.dumps(meta).encode()
+    header = raw[:12] + struct.pack("<I", len(meta_bytes)) + raw[16:HEADER_SIZE]
+    payload = raw[HEADER_SIZE + meta_len:]
+    if payload_n is not None:
+        payload = np.ones(6 * payload_n**2, dtype="<f8").tobytes()
+    path.write_bytes(header + meta_bytes + payload)
 
 
 @pytest.fixture
@@ -119,9 +151,33 @@ class TestSnapshot:
         assert np.array_equal(loaded.u.y_comp.values, state.u.y_comp.values)
         assert loaded.time == state.time
         assert loaded.step_index == state.step_index
-        assert np.array_equal(loaded.mu.values, state.mu.values)
-        assert np.array_equal(loaded.nu.values, state.nu.values)
         assert read_snapshot_params(path) == params
+
+    @pytest.mark.parametrize("changes, payload_n", [
+        ({"time": None}, None),
+        ({"n_modes": 7}, 7),
+        ({"n_modes": "abc"}, None),
+    ], ids=["missing-time", "odd-n-modes", "text-n-modes"])
+    def test_malformed_metadata_rejected(self, tmp_path, sample_state, capsys,
+                                         changes, payload_n):
+        state, params = sample_state
+        path = write_snapshot(state, params, tmp_path / "snap.bin")
+        rewrite_meta(path, changes, payload_n)
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonpositive_concentration_rejected(self, tmp_path, sample_state, capsys):
+        state, params = sample_state
+        p_vals = state.p.values.copy()
+        p_vals[0, 0] = -1.0
+        bad = dataclasses.replace(state, p=ScalarField(state.grid, p_vals))
+        path = write_snapshot(bad, params, tmp_path / "snap.bin")
+        with pytest.raises(NonPositiveConcentrationError):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        assert "p must be positive" in capsys.readouterr().err
 
     def test_truncated_payload(self, tmp_path, sample_state):
         state, params = sample_state
@@ -197,6 +253,25 @@ class TestCommands:
             solver={"newton_max_iter": 1})
         assert main(["run", str(cfg_path)]) == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_solver_failure_keeps_completed_rows(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path / "run.json",
+                                time={"dt": 0.05, "t_final": 0.25})
+        real_advance = integrator.advance
+        calls = 0
+
+        def failing_advance(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise NoConvergenceError("injected failure", 7, 1.0)
+            return real_advance(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "advance", failing_advance)
+        assert main(["run", str(cfg_path)]) == 2
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert lines[0].startswith("step,time,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
     def test_convergence_command(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -7,6 +7,7 @@ from pnpns import mms
 from pnpns.config import blob_concentration
 from pnpns.errors import ConfigError, NetChargeError, NonPositiveConcentrationError
 from pnpns.integrator import advance, initialize, run
+from pnpns.pnp import chemical_potentials
 from pnpns.spectral import vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
@@ -23,8 +24,9 @@ class TestInitialize:
         state = initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
                            None, PhysParams(), cfg)
         assert np.abs(state.psi.values).max() <= 1e-14
-        assert np.abs(state.mu.values).max() <= 1e-14
-        assert np.abs(state.nu.values).max() <= 1e-14
+        mu, nu = chemical_potentials(state.p, state.n, state.psi)
+        assert np.abs(mu.values).max() <= 1e-14
+        assert np.abs(nu.values).max() <= 1e-14
         assert vector_norm(state.u) == 0.0
         assert np.abs(state.phi.values).max() == 0.0
 
@@ -162,12 +164,8 @@ class TestRun:
             assert after <= before + 1e-10 * abs(before)
 
     def test_rejects_non_divisible_horizon(self):
-        params = PhysParams()
-        cfg = SchemeConfig(n_modes=16, dt=0.03, t_final=0.1)
-        state = initialize(lambda x, y: np.ones_like(x),
-                           lambda x, y: np.ones_like(x), None, params, cfg)
-        with pytest.raises(ConfigError):
-            run(state, params, cfg)
+        with pytest.raises(ValueError):
+            SchemeConfig(n_modes=16, dt=0.03, t_final=0.1)
 
     def test_snapshot_schedule(self, tmp_path):
         params = PhysParams()

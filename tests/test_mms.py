@@ -1,11 +1,16 @@
 """Manufactured solutions: exact fields, forcing validation, convergence harness."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import pnpns
 from pnpns import mms
 from pnpns.errors import ConfigError
 from pnpns.integrator import advance
@@ -15,6 +20,16 @@ from pnpns.state import PhysParams, SchemeConfig, mass
 from oracles import FdForcingOracle
 
 TWO_PI = 2.0 * np.pi
+
+
+def test_import_leaves_sympy_unloaded():
+    """sympy is loaded only when a manufactured case is built."""
+    src = Path(pnpns.__file__).resolve().parents[1]
+    code = "import sys, pnpns; print('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

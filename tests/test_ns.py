@@ -47,8 +47,8 @@ class TestSolveVelocity:
     def test_all_zero(self, grid16):
         zero_v = VectorField.zero(grid16)
         zero = ScalarField.constant(grid16, 0.0)
-        u = solve_velocity(zero_v, zero, zero_v.copy(), None, PhysParams(),
-                           0.05, _cfg(16))
+        u, _, _ = solve_velocity(zero_v, zero, zero_v.copy(), None, PhysParams(),
+                                 0.05, _cfg(16))
         assert np.abs(u.x_comp.values).max() == 0.0
         assert np.abs(u.y_comp.values).max() == 0.0
 
@@ -59,7 +59,7 @@ class TestSolveVelocity:
         forcing = VectorField.from_arrays(grid16,
                                           np.full((16, 16), 2.0),
                                           np.full((16, 16), -1.0))
-        u = solve_velocity(zero_v, zero, forcing, None, PhysParams(), dt, _cfg(16))
+        u, _, _ = solve_velocity(zero_v, zero, forcing, None, PhysParams(), dt, _cfg(16))
         assert np.abs(u.x_comp.values - 2.0 * dt).max() <= 1e-12
         assert np.abs(u.y_comp.values + 1.0 * dt).max() <= 1e-12
 
@@ -86,7 +86,7 @@ class TestSolveVelocity:
             operator(wx) - ux / dt + px,
             operator(wy) - uy / dt + py,
         )
-        solved = solve_velocity(u_m, phi, forcing, None, params, dt, cfg)
+        solved, _, _ = solve_velocity(u_m, phi, forcing, None, params, dt, cfg)
         scale = max(np.abs(wx).max(), np.abs(wy).max())
         assert np.abs(solved.x_comp.values - wx).max() <= 1e-10 * scale
         assert np.abs(solved.y_comp.values - wy).max() <= 1e-10 * scale

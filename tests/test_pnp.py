@@ -12,14 +12,12 @@ from pnpns.errors import (
     NonPositiveConcentrationError,
 )
 from pnpns.pnp import (
-    _Step1System,
+    Step1System,
     chemical_potentials,
     compute_psi,
     functional_value,
     mobility,
     solve_step1,
-    step1_jacobian_action,
-    step1_residual,
 )
 from pnpns.spectral import ScalarField, VectorField
 from pnpns.state import PhysParams, SchemeConfig, mass
@@ -121,11 +119,11 @@ class TestResidual:
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
         from pnpns.state import SimState
-        prev = SimState(p=p, n=p.copy(), psi=zero, mu=zero.copy(), nu=zero.copy(),
-                        u=u, u_tilde=u.copy(), phi=zero.copy())
-        r_p, r_n = step1_residual(prev, p.copy(), p.copy(), PhysParams(), dt=0.1)
-        assert np.abs(r_p.values).max() <= 1e-12
-        assert np.abs(r_n.values).max() <= 1e-12
+        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
+        r_p, r_n = Step1System(prev, PhysParams(), dt=0.1).residual(p.values.copy(),
+                                                                    p.values.copy())
+        assert np.abs(r_p).max() <= 1e-12
+        assert np.abs(r_n).max() <= 1e-12
 
     def test_matches_dense_assembly(self, grid8, rng):
         """Collocation residual vs dense weak-form assembly on N=8."""
@@ -133,7 +131,8 @@ class TestResidual:
         dt = 0.05
         state = admissible_state(grid8, rng)
         cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
-        ours_p, ours_n = step1_residual(state, cand_p, cand_n, params, dt)
+        ours_p, ours_n = Step1System(state, params, dt).residual(cand_p.values,
+                                                                 cand_n.values)
 
         # dense route: differentiation matrices + lstsq Poisson solve
         from oracles import diff_matrices_2d
@@ -158,15 +157,16 @@ class TestResidual:
                   + params.diffusion * (dense_weighted_laplacian(
                       m_n.reshape(8, 8)) @ nu))
         scale = max(np.abs(dens_p).max(), np.abs(dens_n).max(), 1.0)
-        assert np.abs(ours_p.values.ravel() - dens_p).max() <= 1e-9 * scale
-        assert np.abs(ours_n.values.ravel() - dens_n).max() <= 1e-9 * scale
+        assert np.abs(ours_p.ravel() - dens_p).max() <= 1e-9 * scale
+        assert np.abs(ours_n.ravel() - dens_n).max() <= 1e-9 * scale
 
     def test_rejects_nonpositive_candidate(self, grid16, rng):
         state = admissible_state(grid16, rng)
         bad = state.p.copy()
         bad.values[2, 3] = -0.1
         with pytest.raises(NonPositiveConcentrationError):
-            step1_residual(state, bad, state.n.copy(), PhysParams(), dt=0.1)
+            Step1System(state, PhysParams(), dt=0.1).residual(bad.values,
+                                                              state.n.values.copy())
 
 
 class TestJacobian:
@@ -181,25 +181,21 @@ class TestJacobian:
         dn_vals = band_limited(grid8, rng, kmax=3)
         dp_vals -= dp_vals.mean()
         dn_vals -= dn_vals.mean()
-        dp = ScalarField(grid8, dp_vals)
-        dn = ScalarField(grid8, dn_vals)
+        system = Step1System(state, params, dt)
 
-        j_p, j_n = step1_jacobian_action(state, cand_p, cand_n, dp, dn, params, dt)
+        j_p, j_n = system.jacobian_action(cand_p.values, cand_n.values, dp_vals, dn_vals)
 
         h = 1e-5
-        rp_f, rn_f = step1_residual(
-            state, ScalarField(grid8, cand_p.values + h * dp_vals),
-            ScalarField(grid8, cand_n.values + h * dn_vals), params, dt)
-        rp_b, rn_b = step1_residual(
-            state, ScalarField(grid8, cand_p.values - h * dp_vals),
-            ScalarField(grid8, cand_n.values - h * dn_vals), params, dt)
-        fd_p = (rp_f.values - rp_b.values) / (2 * h)
-        fd_n = (rn_f.values - rn_b.values) / (2 * h)
+        rp_f, rn_f = system.residual(cand_p.values + h * dp_vals,
+                                     cand_n.values + h * dn_vals)
+        rp_b, rn_b = system.residual(cand_p.values - h * dp_vals,
+                                     cand_n.values - h * dn_vals)
+        fd_p = (rp_f - rp_b) / (2 * h)
+        fd_n = (rn_f - rn_b) / (2 * h)
 
-        num = math.sqrt(grid8.inner(fd_p - j_p.values, fd_p - j_p.values)
-                        + grid8.inner(fd_n - j_n.values, fd_n - j_n.values))
-        den = math.sqrt(grid8.inner(j_p.values, j_p.values)
-                        + grid8.inner(j_n.values, j_n.values))
+        num = math.sqrt(grid8.inner(fd_p - j_p, fd_p - j_p)
+                        + grid8.inner(fd_n - j_n, fd_n - j_n))
+        den = math.sqrt(grid8.inner(j_p, j_p) + grid8.inner(j_n, j_n))
         assert num <= 1e-6 * den
 
 
@@ -210,7 +206,7 @@ class TestGmres:
         params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.7)
         state = admissible_state(grid8, rng)
         cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
-        system = _Step1System(state, params, dt=0.05)
+        system = Step1System(state, params, dt=0.05)
         op = system.operator(cand_p.values, cand_n.values)
         dense = np.column_stack([op(e) for e in np.eye(2 * grid8.n_modes**2)])
         return op, system.preconditioner, dense
@@ -276,8 +272,7 @@ class TestFunctional:
         p = ScalarField.constant(grid16, 1.0)
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
-        prev = SimState(p=p, n=p.copy(), psi=zero, mu=zero.copy(), nu=zero.copy(),
-                        u=u, u_tilde=u.copy(), phi=zero.copy())
+        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
         value = functional_value(prev, p.copy(), p.copy(), PhysParams(), dt=0.1)
         assert value == pytest.approx(-2.0 * TWO_PI**2, rel=1e-12)
 
@@ -327,8 +322,7 @@ class TestSolveStep1:
         p = ScalarField.constant(grid16, 1.0)
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
-        prev = SimState(p=p, n=p.copy(), psi=zero, mu=zero.copy(), nu=zero.copy(),
-                        u=u, u_tilde=u.copy(), phi=zero.copy())
+        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
         cfg = SchemeConfig(n_modes=16, dt=0.1, t_final=0.1)
         result = solve_step1(prev, PhysParams(), cfg.dt, cfg)
         assert result.newton_iters == 0

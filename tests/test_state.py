@@ -25,8 +25,7 @@ def make_rest_state(grid, p_value=1.0, n_value=None):
     n = ScalarField.constant(grid, n_value)
     zero = ScalarField.constant(grid, 0.0)
     u = VectorField.zero(grid)
-    return SimState(p=p, n=n, psi=zero, mu=zero.copy(), nu=zero.copy(),
-                    u=u, u_tilde=u.copy(), phi=zero.copy())
+    return SimState(p=p, n=n, psi=zero, u=u, phi=zero.copy())
 
 
 class TestParams:
