@@ -9,14 +9,7 @@ from . import errors
 from .integrator import RunRecord, advance, initialize, run
 from .mms import ConvergenceRow, MMSCase, convergence_study, l2_error, make_case
 from .ns import VelocityResult, ion_forcing, project_velocity, solve_velocity, velocity_step
-from .pnp import (
-    Step1Result,
-    chemical_potentials,
-    compute_psi,
-    functional_value,
-    mobility,
-    solve_step1,
-)
+from .pnp import Step1Result, compute_psi, functional_value, solve_step1
 from .snapshot import read_snapshot, read_snapshot_meta, write_snapshot
 from .spectral import Grid, ScalarField, VectorField, make_grid
 from .state import (

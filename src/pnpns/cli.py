@@ -94,14 +94,11 @@ def cmd_run(config_path: str) -> int:
         record = run(state, config.params, config.scheme, sources=forcing,
                      on_step=lambda diag: rows.append(",".join(_diagnostics_row(diag))),
                      snapshot_writer=snapshot_writer)
-    except NoConvergenceError as exc:
+    except PnpnsError as exc:
         # the steps completed before the failure are evidence: keep them
         _write_lines(diagnostics_path, rows)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except PnpnsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
     _write_lines(diagnostics_path, rows)
     final = record.final_state

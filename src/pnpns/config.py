@@ -150,7 +150,6 @@ def load_config(path, *, need_dt_list: bool = False) -> RunConfig:
             dt=dt,
             t_final=float(time_sec["t_final"]),
             snapshot_times=tuple(time_sec.get("snapshot_times", ())),
-            output_dir=out_dir,
             **solver,
         )
     except ValueError as exc:

@@ -40,8 +40,6 @@ class ForcingTerms(Protocol):
 class RunRecord:
     """Everything a finished run leaves behind."""
 
-    config: SchemeConfig
-    params: PhysParams
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     snapshots: list[tuple[float, Path]] = field(default_factory=list)
     final_state: SimState | None = None
@@ -170,7 +168,7 @@ def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
     if pending and snapshot_writer is None:
         raise ConfigError("snapshot_times given but no snapshot writer supplied")
 
-    record = RunRecord(config=cfg, params=params)
+    record = RunRecord()
     state = initial
     while pending and pending[0] <= state.time:
         record.snapshots.append((pending.pop(0), snapshot_writer(state)))

@@ -129,14 +129,6 @@ class MMSCase:
         psi = ScalarField(grid, self._eval("psi", grid, t))
         return p, n, u, pressure, psi
 
-    def forcing(self, t: float, grid: Grid):
-        """Sampled (f_p, f_n, f_u) at time t."""
-        f_p = ScalarField(grid, self._eval("f_p", grid, t))
-        f_n = ScalarField(grid, self._eval("f_n", grid, t))
-        f_u = VectorField.from_arrays(grid, self._eval("f_u1", grid, t),
-                                      self._eval("f_u2", grid, t))
-        return f_p, f_n, f_u
-
     def modified_pressure(self, t: float, grid: Grid) -> ScalarField:
         """Zero-mean modified pressure P - kappa (p + n) of the exact fields."""
         values = (self._eval("pressure", grid, t)

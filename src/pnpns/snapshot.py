@@ -9,7 +9,8 @@ Layout:
     in that order.
 
 Writes are atomic (temp file + rename). Reading validates the metadata and
-rejects non-positive concentrations, since a snapshot is outside input.
+rejects non-finite payloads and non-positive concentrations, since a
+snapshot is outside input.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
         raise SnapshotError(f"{path}: trailing bytes after payload")
 
     flat = np.frombuffer(payload, dtype="<f8", count=count)
+    if not np.isfinite(flat).all():
+        raise SnapshotError(f"{path}: payload holds non-finite values")
     fields = flat.reshape(len(FIELD_ORDER), n, n)
     grid = make_grid(n)
     p = ScalarField(grid, fields[0].copy())
@@ -162,8 +165,3 @@ def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
                 f"{path}: {name} must be positive, min={f_min:.3e}")
     return SimState(p=p, n=n_field, psi=psi, u=u, phi=phi,
                     step_index=meta["step_index"], time=float(meta["time"]))
-
-
-def read_snapshot_params(path) -> PhysParams:
-    meta = read_snapshot_meta(path)
-    return PhysParams(**meta["params"])

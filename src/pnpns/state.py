@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class SchemeConfig:
     dealias: bool = False
     track_functional: bool = False
     snapshot_times: tuple[float, ...] = ()
-    output_dir: Path = Path(".")
 
     def __post_init__(self):
         if self.n_modes < 4 or self.n_modes % 2 != 0:
@@ -60,7 +58,6 @@ class SchemeConfig:
                 f"t_final={self.t_final} is not a multiple of dt={self.dt}"
             )
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     @property
     def n_steps(self) -> int:

@@ -235,13 +235,13 @@ def test_criterion_4_jacobian_vs_finite_differences():
         dn_vals = band_limited(grid, rng, kmax=3)
         dp_vals -= dp_vals.mean()
         dn_vals -= dn_vals.mean()
-        cand_p = state.p.values.copy()
-        cand_n = state.n.values.copy()
+        c = np.stack((state.p.values, state.n.values))
+        dc = np.stack((dp_vals, dn_vals))
         system = Step1System(state, params, dt)
-        j_p, j_n = system.jacobian_action(cand_p, cand_n, dp_vals, dn_vals)
+        j_p, j_n = system.jacobian_action(c, dc)
         h = 1e-5
-        rp_f, rn_f = system.residual(cand_p + h * dp_vals, cand_n + h * dn_vals)
-        rp_b, rn_b = system.residual(cand_p - h * dp_vals, cand_n - h * dn_vals)
+        rp_f, rn_f = system.residual(c + h * dc)
+        rp_b, rn_b = system.residual(c - h * dc)
         fd_p = (rp_f - rp_b) / (2 * h)
         fd_n = (rn_f - rn_b) / (2 * h)
         num = math.sqrt(grid.inner(fd_p - j_p, fd_p - j_p)

@@ -12,6 +12,7 @@ from pnpns.cli import main
 from pnpns.config import blob_concentration, build_initial_state, load_config
 from pnpns.errors import (
     ConfigError,
+    MassMismatchError,
     NoConvergenceError,
     NonPositiveConcentrationError,
     RejectedGridError,
@@ -22,7 +23,6 @@ from pnpns.snapshot import (
     HEADER_SIZE,
     read_snapshot,
     read_snapshot_meta,
-    read_snapshot_params,
     write_snapshot,
 )
 from pnpns.spectral import ScalarField
@@ -151,7 +151,7 @@ class TestSnapshot:
         assert np.array_equal(loaded.u.y_comp.values, state.u.y_comp.values)
         assert loaded.time == state.time
         assert loaded.step_index == state.step_index
-        assert read_snapshot_params(path) == params
+        assert PhysParams(**read_snapshot_meta(path)["params"]) == params
 
     @pytest.mark.parametrize("changes, payload_n", [
         ({"time": None}, None),
@@ -178,6 +178,19 @@ class TestSnapshot:
             read_snapshot(path)
         assert main(["inspect", str(path)]) == 1
         assert "p must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_payload_rejected(self, tmp_path, sample_state, capsys, value):
+        state, params = sample_state
+        path = write_snapshot(state, params, tmp_path / "snap.bin")
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="non-finite"):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_truncated_payload(self, tmp_path, sample_state):
         state, params = sample_state
@@ -269,6 +282,26 @@ class TestCommands:
 
         monkeypatch.setattr(integrator, "advance", failing_advance)
         assert main(["run", str(cfg_path)]) == 2
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert lines[0].startswith("step,time,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+    def test_typed_step_failure_keeps_completed_rows(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path / "run.json",
+                                time={"dt": 0.05, "t_final": 0.25})
+        real_advance = integrator.advance
+        calls = 0
+
+        def failing_advance(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise MassMismatchError("injected mass loss")
+            return real_advance(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "advance", failing_advance)
+        assert main(["run", str(cfg_path)]) == 2
+        assert "solver failure: injected mass loss" in capsys.readouterr().err
         lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("step,time,")
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]

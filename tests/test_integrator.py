@@ -7,7 +7,7 @@ from pnpns import mms
 from pnpns.config import blob_concentration
 from pnpns.errors import ConfigError, NetChargeError, NonPositiveConcentrationError
 from pnpns.integrator import advance, initialize, run
-from pnpns.pnp import chemical_potentials
+from pnpns.pnp import Step1System
 from pnpns.spectral import vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
@@ -24,9 +24,10 @@ class TestInitialize:
         state = initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
                            None, PhysParams(), cfg)
         assert np.abs(state.psi.values).max() <= 1e-14
-        mu, nu = chemical_potentials(state.p, state.n, state.psi)
-        assert np.abs(mu.values).max() <= 1e-14
-        assert np.abs(nu.values).max() <= 1e-14
+        _, mu = Step1System(state, PhysParams(), cfg.dt).potentials(
+            np.stack((state.p.values, state.n.values)))
+        assert np.abs(mu[0]).max() <= 1e-14
+        assert np.abs(mu[1]).max() <= 1e-14
         assert vector_norm(state.u) == 0.0
         assert np.abs(state.phi.values).max() == 0.0
 
@@ -170,7 +171,7 @@ class TestRun:
     def test_snapshot_schedule(self, tmp_path):
         params = PhysParams()
         cfg = SchemeConfig(n_modes=16, dt=0.05, t_final=0.25,
-                           snapshot_times=(0.08, 0.2), output_dir=tmp_path)
+                           snapshot_times=(0.08, 0.2))
         state = initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
                            None, params, cfg)
         taken = []

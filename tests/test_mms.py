@@ -110,7 +110,8 @@ class TestForcing:
         oracle = FdForcingOracle(params, variant, n_probe=512)
         grid = make_grid(64)
 
-        f_p, f_n, f_u = c.forcing(t, grid)
+        f_p, f_n = c.ion_sources(t, grid)
+        f_u = c.momentum_source(t, grid)
         fd_p = oracle.sample_at(oracle.f_p(t), grid)
         fd_n = oracle.sample_at(oracle.f_n(t), grid)
         fd_ux, fd_uy = (oracle.sample_at(f, grid) for f in oracle.f_u(t))
@@ -127,7 +128,7 @@ class TestForcing:
         grid = make_grid(32)
         t = 0.45
         advect, rest = oracle.ion_parts(t)
-        f_p, _, _ = case.forcing(t, grid)
+        f_p, _ = case.ion_sources(t, grid)
         diff = f_p.values - oracle.sample_at(advect, grid) - oracle.sample_at(rest, grid)
         assert np.abs(diff).max() <= 1e-7
 

@@ -11,16 +11,9 @@ from pnpns.errors import (
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
-from pnpns.pnp import (
-    Step1System,
-    chemical_potentials,
-    compute_psi,
-    functional_value,
-    mobility,
-    solve_step1,
-)
+from pnpns.pnp import Step1System, compute_psi, functional_value, mobility, solve_step1
 from pnpns.spectral import ScalarField, VectorField
-from pnpns.state import PhysParams, SchemeConfig, mass
+from pnpns.state import PhysParams, SchemeConfig, SimState, mass
 
 from conftest import admissible_state, band_limited
 from oracles import dense_solve_zero_mean, dense_weighted_laplacian
@@ -36,6 +29,14 @@ def perturbed(state, grid, rng, amplitude, kmax=3):
     n = state.n.values + (dn - dn.mean())
     assert p.min() > 0 and n.min() > 0
     return ScalarField(grid, p), ScalarField(grid, n)
+
+
+def rest_system(grid, params=PhysParams(), dt=0.1):
+    """Step1System from the uniform unit state at rest."""
+    one = ScalarField.constant(grid, 1.0)
+    zero = ScalarField.constant(grid, 0.0)
+    prev = SimState(p=one, n=one.copy(), psi=zero, u=VectorField.zero(grid), phi=zero.copy())
+    return Step1System(prev, params, dt)
 
 
 class TestComputePsi:
@@ -68,49 +69,42 @@ class TestComputePsi:
 
 class TestChemicalPotentials:
     def test_uniform_unit(self, grid16):
-        one = ScalarField.constant(grid16, 1.0)
-        zero = ScalarField.constant(grid16, 0.0)
-        mu, nu = chemical_potentials(one, one.copy(), zero)
-        assert np.abs(mu.values).max() == 0.0
-        assert np.abs(nu.values).max() == 0.0
+        _, mu = rest_system(grid16).potentials(np.ones((2, 16, 16)))
+        assert np.abs(mu[0]).max() == 0.0
+        assert np.abs(mu[1]).max() == 0.0
 
     def test_log_of_e(self, grid16):
-        e_field = ScalarField.constant(grid16, np.e)
-        zero = ScalarField.constant(grid16, 0.0)
-        mu, _ = chemical_potentials(e_field, e_field.copy(), zero)
-        assert np.abs(mu.values - 1.0).max() <= 1e-15
+        _, mu = rest_system(grid16).potentials(np.full((2, 16, 16), np.e))
+        assert np.abs(mu[0] - 1.0).max() <= 1e-15
 
     def test_inverse_identity(self, grid16, rng):
-        p = ScalarField(grid16, 1.0 + 0.5 * band_limited(grid16, rng))
-        n = ScalarField(grid16, 1.0 + 0.5 * band_limited(grid16, rng))
-        psi = ScalarField(grid16, band_limited(grid16, rng))
-        mu, nu = chemical_potentials(p, n, psi)
-        assert np.abs(np.exp(mu.values - psi.values) - p.values).max() <= 1e-12
-        assert np.abs(np.exp(nu.values + psi.values) - n.values).max() <= 1e-12
+        p = 1.0 + 0.5 * band_limited(grid16, rng)
+        n = 1.0 + 0.5 * band_limited(grid16, rng)
+        n += p.mean() - n.mean()  # psi needs a zero-mean charge
+        psi, mu = rest_system(grid16).potentials(np.stack((p, n)))
+        assert np.abs(np.exp(mu[0] - psi) - p).max() <= 1e-12
+        assert np.abs(np.exp(mu[1] + psi) - n).max() <= 1e-12
 
     def test_rejects_nonpositive(self, grid16):
-        bad = ScalarField.constant(grid16, 1.0)
-        bad.values[0, 0] = 0.0
+        bad = np.ones((2, 16, 16))
+        bad[0, 0, 0] = 0.0
         with pytest.raises(NonPositiveConcentrationError):
-            chemical_potentials(bad, ScalarField.constant(grid16, 1.0),
-                                ScalarField.constant(grid16, 0.0))
+            rest_system(grid16).potentials(bad)
 
 
 class TestMobility:
     def test_unit_coefficients(self, grid16):
-        f = ScalarField.constant(grid16, 1.0)
-        out = mobility(f, dt=0.1, kappa=1.0, diffusion=1.0)
-        assert np.abs(out.values - 1.2).max() <= 1e-15
+        out = mobility(np.ones((16, 16)), dt=0.1, kappa=1.0, diffusion=1.0)
+        assert np.abs(out - 1.2).max() <= 1e-15
 
     def test_vanishing_dt_limit(self, grid16, rng):
-        f = ScalarField(grid16, 1.0 + 0.4 * band_limited(grid16, rng))
+        f = 1.0 + 0.4 * band_limited(grid16, rng)
         out = mobility(f, dt=0.0, kappa=1.0, diffusion=1.0)
-        assert np.abs(out.values - f.values).max() == 0.0
+        assert np.abs(out - f).max() == 0.0
 
     def test_coefficient_ratio(self, grid16):
-        f = ScalarField.constant(grid16, 2.0)
-        out = mobility(f, dt=0.25, kappa=2.0, diffusion=1.0)
-        assert np.abs(out.values - 6.0).max() <= 1e-14
+        out = mobility(np.full((16, 16), 2.0), dt=0.25, kappa=2.0, diffusion=1.0)
+        assert np.abs(out - 6.0).max() <= 1e-14
 
 
 class TestResidual:
@@ -118,10 +112,9 @@ class TestResidual:
         p = ScalarField.constant(grid16, 1.4)
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
-        from pnpns.state import SimState
         prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
-        r_p, r_n = Step1System(prev, PhysParams(), dt=0.1).residual(p.values.copy(),
-                                                                    p.values.copy())
+        r_p, r_n = Step1System(prev, PhysParams(), dt=0.1).residual(
+            np.stack((p.values, p.values)))
         assert np.abs(r_p).max() <= 1e-12
         assert np.abs(r_n).max() <= 1e-12
 
@@ -131,8 +124,8 @@ class TestResidual:
         dt = 0.05
         state = admissible_state(grid8, rng)
         cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
-        ours_p, ours_n = Step1System(state, params, dt).residual(cand_p.values,
-                                                                 cand_n.values)
+        ours_p, ours_n = Step1System(state, params, dt).residual(
+            np.stack((cand_p.values, cand_n.values)))
 
         # dense route: differentiation matrices + lstsq Poisson solve
         from oracles import diff_matrices_2d
@@ -165,8 +158,8 @@ class TestResidual:
         bad = state.p.copy()
         bad.values[2, 3] = -0.1
         with pytest.raises(NonPositiveConcentrationError):
-            Step1System(state, PhysParams(), dt=0.1).residual(bad.values,
-                                                              state.n.values.copy())
+            Step1System(state, PhysParams(), dt=0.1).residual(
+                np.stack((bad.values, state.n.values)))
 
 
 class TestJacobian:
@@ -182,14 +175,14 @@ class TestJacobian:
         dp_vals -= dp_vals.mean()
         dn_vals -= dn_vals.mean()
         system = Step1System(state, params, dt)
+        c = np.stack((cand_p.values, cand_n.values))
+        dc = np.stack((dp_vals, dn_vals))
 
-        j_p, j_n = system.jacobian_action(cand_p.values, cand_n.values, dp_vals, dn_vals)
+        j_p, j_n = system.jacobian_action(c, dc)
 
         h = 1e-5
-        rp_f, rn_f = system.residual(cand_p.values + h * dp_vals,
-                                     cand_n.values + h * dn_vals)
-        rp_b, rn_b = system.residual(cand_p.values - h * dp_vals,
-                                     cand_n.values - h * dn_vals)
+        rp_f, rn_f = system.residual(c + h * dc)
+        rp_b, rn_b = system.residual(c - h * dc)
         fd_p = (rp_f - rp_b) / (2 * h)
         fd_n = (rn_f - rn_b) / (2 * h)
 
@@ -207,7 +200,11 @@ class TestGmres:
         state = admissible_state(grid8, rng)
         cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
         system = Step1System(state, params, dt=0.05)
-        op = system.operator(cand_p.values, cand_n.values)
+        c = np.stack((cand_p.values, cand_n.values))
+
+        def op(z):
+            return system.jacobian_action(c, z)
+
         dense = np.column_stack([op(e) for e in np.eye(2 * grid8.n_modes**2)])
         return op, system.preconditioner, dense
 
@@ -268,7 +265,6 @@ class TestGmres:
 
 class TestFunctional:
     def test_uniform_rest_value(self, grid16):
-        from pnpns.state import SimState
         p = ScalarField.constant(grid16, 1.0)
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
@@ -318,7 +314,6 @@ class TestFunctional:
 
 class TestSolveStep1:
     def test_uniform_fixed_point(self, grid16):
-        from pnpns.state import SimState
         p = ScalarField.constant(grid16, 1.0)
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
@@ -350,9 +345,10 @@ class TestSolveStep1:
         result = solve_step1(state, params, cfg.dt, cfg)
         psi = compute_psi(result.p_new, result.n_new, params.epsilon)
         assert np.abs(psi.values - result.psi_new.values).max() <= 1e-13
-        mu, nu = chemical_potentials(result.p_new, result.n_new, psi)
-        assert np.abs(mu.values - result.mu_new.values).max() <= 1e-13
-        assert np.abs(nu.values - result.nu_new.values).max() <= 1e-13
+        _, mu = Step1System(state, params, cfg.dt).potentials(
+            np.stack((result.p_new.values, result.n_new.values)))
+        assert np.abs(mu[0] - result.mu_new.values).max() <= 1e-13
+        assert np.abs(mu[1] - result.nu_new.values).max() <= 1e-13
 
     def test_deterministic(self, grid8, rng):
         state = admissible_state(grid8, rng)

@@ -1,0 +1,64 @@
+"""The scheme's three guarantees as properties over random admissible steps.
+
+One step from a random admissible state must conserve both masses, keep
+both concentrations strictly positive and not increase the modified
+energy, for any grid, time step, coupling and Debye length drawn below. A
+typed PnpnsError is the only other acceptable outcome; a non-finite or
+non-positive field never is.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pnpns.errors import NonZeroMeanError, PnpnsError
+from pnpns.integrator import advance
+from pnpns.pnp import compute_psi
+from pnpns.spectral import make_grid
+from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
+
+from conftest import admissible_state
+
+
+def start(n_modes, dt, kappa, epsilon, seed):
+    """(state, params, cfg) for one step from a random admissible state."""
+    params = PhysParams(epsilon=epsilon, kappa=kappa)
+    cfg = SchemeConfig(n_modes=n_modes, dt=dt, t_final=dt)
+    state = admissible_state(make_grid(n_modes), np.random.default_rng(seed))
+    # admissible_state solves for psi at epsilon = 1; the energy needs this epsilon's
+    state = dataclasses.replace(state, psi=compute_psi(state.p, state.n, epsilon))
+    return state, params, cfg
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(n_modes=st.sampled_from([8, 16]),
+       dt=st.floats(1e-5, 1.0),
+       kappa=st.floats(1.0, 1e4),
+       epsilon=st.floats(1e-2, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_step_keeps_mass_positivity_and_energy(n_modes, dt, kappa, epsilon, seed):
+    state, params, cfg = start(n_modes, dt, kappa, epsilon, seed)
+    e_before = total_energy(state, params, dt).total
+    try:
+        new, diag = advance(state, params, cfg)
+    except PnpnsError:
+        return
+    for before, after in ((state.p, new.p), (state.n, new.n)):
+        assert np.isfinite(after.values).all()
+        assert abs(mass(after) - mass(before)) <= 1e-10 * mass(before)
+        assert after.values.min() > 0.0
+    assert diag.energy.total <= e_before + 1e-10 * abs(e_before)
+
+
+@pytest.mark.xfail(raises=NonZeroMeanError, strict=True, reason=(
+    "Grid.inv_laplacian_zero_mean checks the mean of the charge p - n against the "
+    "charge's own norm, but the mean carries roundoff relative to p and n; a large "
+    "kappa*dt step relaxes the charge to ~3e-4 and a line-search trial iterate is "
+    "rejected for a mean of -2e-14"))
+def test_near_neutral_step_is_not_rejected():
+    # one of the inputs the property above draws that ends in this error
+    state, params, cfg = start(8, 0.475310343795327, 2379.5224814115186, 0.01, 428)
+    new, _ = advance(state, params, cfg)
+    assert new.p.values.min() > 0.0
