@@ -1,9 +1,11 @@
-"""Restarted, right-preconditioned GMRES on a preallocated basis.
+"""Restarted GMRES on a preallocated basis.
 
-Solves A x = b for a matrix-free operator. With right preconditioning the
-Krylov space is built from A M v, so the residual the Hessenberg problem
-minimizes is the true residual b - A x, and the stopping test bounds it
-directly: ||b - A x|| <= max(rtol ||b||, atol), the test inexact Newton uses.
+Solves A x = b for a matrix-free operator; the residual the Hessenberg
+problem minimizes is b - A x, and the stopping test bounds it directly:
+||b - A x|| <= max(rtol ||b||, atol), the test inexact Newton uses. A caller
+that preconditions on the right passes the product A M as the operator and
+maps the solution back itself, x = M y: the residual is then still the one
+of the original system, and the caller can fuse the two maps into one.
 
 Each new direction is orthogonalized against the whole basis block at once
 by classical Gram-Schmidt applied twice (two matrix-vector products per
@@ -27,14 +29,14 @@ _EPS = np.finfo(float).eps
 
 
 def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
-          restart: int = 20, maxiter: int = 1, M: Operator | None = None,
+          restart: int = 20, maxiter: int = 1,
           callback: Callable[[float], None] | None = None,
           callback_type: str | None = None) -> tuple[np.ndarray, int]:
     """Solve A x = b from x = 0 with at most maxiter cycles of restart steps.
 
-    A and M are callables on flat vectors; M (default: identity) is applied
-    on the right, x = M y. callback, when given, is called once per inner
-    iteration with the relative residual estimate ||b - A x_k|| / ||b||.
+    A is a callable on flat vectors. callback, when given, is called once
+    per inner iteration with the relative residual estimate
+    ||b - A x_k|| / ||b||.
     callback_type exists for call compatibility with scipy's gmres; only
     "pr_norm" (or None) is accepted, and it means the estimate above.
 
@@ -43,7 +45,6 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
     """
     if callback_type not in (None, "pr_norm"):
         raise ValueError(f"unsupported callback_type {callback_type!r}")
-    precond = M if M is not None else (lambda v: v)
     size = b.shape[0]
     b_norm = math.sqrt(b @ b)
     x = np.zeros(size)
@@ -62,7 +63,7 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
         r_cols: list[list[float]] = []  # columns of the triangular factor
         rotations: list[tuple[float, float]] = []
         for k in range(restart):
-            w = A(precond(basis[k]))
+            w = A(basis[k])
             w_norm = math.sqrt(w @ w)
             v = basis[:k + 1]
             h = v @ w
@@ -71,7 +72,7 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
             w -= h2 @ v
             h += h2
             h_next = math.sqrt(w @ w)
-            # happy breakdown: A M v_k lies in the span, the solve is exact
+            # happy breakdown: A v_k lies in the span, the solve is exact
             breakdown = h_next <= _EPS * w_norm
             if not breakdown:
                 basis[k + 1] = w / h_next
@@ -101,7 +102,7 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
         for j, col in enumerate(r_cols):
             r[:j + 1, j] = col
         y = solve_triangular(r, np.array(g[:m]), check_finite=False)
-        x += precond(y @ basis[:m])
+        x += y @ basis[:m]
         residual = b - A(x)
         res_norm = math.sqrt(residual @ residual)
         if res_norm <= tol:

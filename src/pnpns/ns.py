@@ -6,8 +6,11 @@ Step 2 computes the intermediate velocity from
         = forcing + extra_source,
 
 one scalar advection-diffusion solve per component (the convection couples
-nothing across components). Step 3 projects u~ onto the discretely
-divergence-free space through a pressure increment:
+nothing across components). Each is BiCGStab on the right-preconditioned
+operator A S, with S = (1/dt - nu_vis lap)^{-1} diagonal in Fourier space;
+since (1/dt - nu_vis lap) S = I, one product is v + u_old . grad(S v), three
+transforms where applying S and A in turn takes six. Step 3 projects u~
+onto the discretely divergence-free space through a pressure increment:
 
     lap(dphi) = div(u~)/dt,   phi_new = phi_old + dphi,
     u_new = u~ - dt grad(dphi).
@@ -58,15 +61,35 @@ def ion_forcing(p_m: ScalarField, n_m: ScalarField, mu_new: ScalarField,
     return VectorField.from_arrays(grid, fx, fy)
 
 
+def advect_diffuse_product(grid: Grid, ux: np.ndarray, uy: np.ndarray,
+                           symbol: np.ndarray, v: np.ndarray,
+                           dealias: bool = False) -> np.ndarray:
+    """(1/dt + u.grad - nu lap) S v, with S = (1/dt - nu lap)^{-1} of spectral symbol `symbol`.
+
+    Since (1/dt - nu lap) S = I the product is v + u.grad(S v): one forward
+    and two inverse transforms, and S v itself is never formed.
+    """
+    return v + _convection(grid, ux, uy, symbol * grid.rfft(v), dealias)
+
+
+def _convection(grid: Grid, ux: np.ndarray, uy: np.ndarray, spec: np.ndarray,
+                dealias: bool) -> np.ndarray:
+    """u.grad f for the field f whose half spectrum is spec."""
+    gx, gy = grid.grad_spectrum(spec)
+    return grid.multiply(ux, gx, dealias) + grid.multiply(uy, gy, dealias)
+
+
 def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
                           rhs: np.ndarray, viscosity: float, dt: float,
                           tol: float, max_iter: int,
                           dealias: bool) -> tuple[np.ndarray, int, float]:
     """Solve (1/dt + u.grad - nu lap) w = rhs for one scalar component.
 
-    Matrix-free BiCGStab preconditioned with the constant-coefficient
-    operator (1/dt - nu lap)^{-1}, which is diagonal in Fourier space. The
-    returned iteration figure counts operator applications during the solve.
+    Matrix-free BiCGStab, right-preconditioned with the constant-coefficient
+    operator S = (1/dt - nu lap)^{-1}, which is diagonal in Fourier space:
+    it solves (A S) y = rhs with the folded product above and returns
+    w = S y, so its residual is that of the original system. The returned
+    iteration figure counts operator applications during the solve.
     """
     n = grid.n_modes
     rhs_norm = grid.norm(rhs)
@@ -79,28 +102,18 @@ def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     def matvec(vec: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        w = vec.reshape(shape)
-        spec = grid.rfft(w)
-        wx = grid.irfft(grid._ikx * spec)
-        wy = grid.irfft(grid._iky * spec)
-        lap = grid.irfft(-grid._k2 * spec)
-        out = (w / dt + grid.multiply(ux, wx, dealias)
-               + grid.multiply(uy, wy, dealias) - viscosity * lap)
-        return out.ravel()
+        return advect_diffuse_product(grid, ux, uy, symbol, vec.reshape(shape),
+                                      dealias).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    pre = LinearOperator(
-        (n * n, n * n), dtype=float,
-        matvec=lambda vec: grid.irfft(symbol * grid.rfft(vec.reshape(shape))).ravel(),
-    )
-
-    sol, info = bicgstab(op, rhs.ravel(), rtol=tol, atol=0.0,
-                         maxiter=max_iter, M=pre)
-    iters = applications
-    residual = grid.norm(matvec(sol).reshape(shape) - rhs) / rhs_norm
+    y, info = bicgstab(op, rhs.ravel(), rtol=tol, atol=0.0, maxiter=max_iter)
+    y = y.reshape(shape)
+    # w = S y, and A w - rhs = y + u.grad(w) - rhs: both from one spectrum
+    spec = symbol * grid.rfft(y)
+    residual = grid.norm(y + _convection(grid, ux, uy, spec, dealias) - rhs) / rhs_norm
     if info != 0:
-        raise NoConvergenceError("velocity solve stalled", iters, residual)
-    return sol.reshape(shape), iters, residual
+        raise NoConvergenceError("velocity solve stalled", applications, residual)
+    return grid.irfft(spec), applications, residual
 
 
 def solve_velocity(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,

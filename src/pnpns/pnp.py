@@ -11,7 +11,10 @@ treatment unconditionally stable:
 
 The solve is Newton-Krylov on the collocation residual in c with psi
 eliminated, an Armijo backtracking line search on the residual norm, and a
-fraction-to-boundary rule that keeps every iterate strictly positive. The
+fraction-to-boundary rule that keeps every iterate strictly positive. GMRES
+works on the Jacobian right-preconditioned by a per-species spectral
+operator P, given as one product J P that hands P's spectra straight to
+the Jacobian (Step1System.preconditioned_action); the update is P y. The
 underlying minimization problem is strictly convex; its objective is
 evaluated separately (Step1System.objective) as an optimality certificate;
 the line search does not use it.
@@ -25,6 +28,7 @@ species-by-species computation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -82,11 +86,14 @@ class Step1Result:
 
 def compute_psi(p: ScalarField, n: ScalarField, epsilon: float) -> ScalarField:
     """Electric potential from the charge density: -eps lap psi = p - n."""
-    return ScalarField(p.grid, _psi(p.grid, p.values - n.values, epsilon))
+    return ScalarField(p.grid, _psi(p.grid, p.values, n.values, epsilon))
 
 
-def _psi(grid: Grid, charge: np.ndarray, epsilon: float) -> np.ndarray:
-    return grid.inv_laplacian_zero_mean(charge / epsilon)
+def _psi(grid: Grid, p: np.ndarray, n: np.ndarray, epsilon: float) -> np.ndarray:
+    # the charge's mean carries the roundoff of p and n, not of p - n, so it
+    # is judged against the ion masses: a near-neutral state passes
+    masses = grid.integral(np.abs(p)) + grid.integral(np.abs(n))
+    return grid.inv_laplacian_zero_mean((p - n) / epsilon, scale=masses / epsilon)
 
 
 def mobility(values: np.ndarray, dt: float, kappa: float, diffusion: float) -> np.ndarray:
@@ -144,24 +151,24 @@ class Step1System:
     def potentials(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi from -eps lap psi = p - n, and the stacked mu_i = ln c_i + z_i psi."""
         _require_positive(c)
-        psi = _psi(self.grid, c[0] - c[1], self.params.epsilon)
+        psi = _psi(self.grid, c[0], c[1], self.params.epsilon)
         return psi, np.log(c) + VALENCE * psi
 
     # -- nonlinear residual -------------------------------------------------
     def residual(self, c: np.ndarray) -> np.ndarray:
         d = self.params.diffusion
         _, mu = self.potentials(c)
-        r = (c - self.c_prev) / self.dt + self.conv - d * self._weighted_div(mu)
+        flux_div = self._weighted_div(map(self.grid.grad, mu))
+        r = (c - self.c_prev) / self.dt + self.conv - d * flux_div
         if self.source is not None:
             r = r - self.source
         return r
 
-    def _weighted_div(self, potential: np.ndarray) -> np.ndarray:
-        """div(M_i grad potential_i) for each species."""
+    def _weighted_div(self, gradients: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """div(M_i grad f_i) for each species, from the gradients of the f_i in turn."""
         grid = self.grid
-        out = np.empty_like(potential)
-        for i, (m, f) in enumerate(zip(self.m, potential)):
-            gx, gy = grid.grad(f)
+        out = np.empty_like(self.c_prev)
+        for i, (m, (gx, gy)) in enumerate(zip(self.m, gradients)):
             out[i] = grid.div(grid.multiply(m, gx, self.dealias),
                               grid.multiply(m, gy, self.dealias))
         return out
@@ -169,16 +176,43 @@ class Step1System:
     # -- Jacobian action at the iterate c ----------------------------------
     def jacobian_action(self, c: np.ndarray, dc: np.ndarray) -> np.ndarray:
         """J(c) dc for a direction given as a (2, N, N) stack or its ravel; same shape back."""
-        grid = self.grid
         direction = dc.reshape(c.shape)
-        spec = grid.rfft((direction[0] - direction[1]) / self.params.epsilon)
-        dpsi = grid.irfft(spec * grid._inv_k2)  # DC ignored: handled by dc/dt
-        dmu = direction / c + VALENCE * dpsi
-        j = direction / self.dt - self.params.diffusion * self._weighted_div(dmu)
-        return j.reshape(dc.shape)
+        charge = self.grid.rfft(direction[0] - direction[1])
+        return self._jacobian(c, direction, charge).reshape(dc.shape)
+
+    def preconditioned_action(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """J(c) P v for P the preconditioner; same shape back.
+
+        The operator GMRES works on. P ends in the spectra of P v, which
+        give the Jacobian its charge spectrum, so P v is transformed back
+        once and never forward again: 16 transforms where P followed by J
+        takes 18.
+        """
+        grid = self.grid
+        direction = np.empty_like(c)
+        charge = 0.0
+        for i, (pre, z, r) in enumerate(zip(self._pre, VALENCE.flat, v.reshape(c.shape))):
+            spec = pre * grid.rfft(r)
+            direction[i] = grid.irfft(spec)
+            charge = charge + z * spec  # spectrum of sum_i z_i (P v)_i
+        return self._jacobian(c, direction, charge).reshape(v.shape)
+
+    def _jacobian(self, c: np.ndarray, direction: np.ndarray,
+                  charge: np.ndarray) -> np.ndarray:
+        """J(c) direction, given the spectrum of the direction's charge (overwritten).
+
+        dmu_i = dc_i/c_i + z_i dpsi is formed in spectral space, so dpsi
+        never needs an inverse transform.
+        """
+        grid = self.grid
+        dpsi = charge
+        dpsi *= grid._inv_k2 / self.params.epsilon  # DC ignored: handled by dc/dt
+        grad_dmu = (grid.grad_spectrum(grid.rfft(d / ci) + z * dpsi)
+                    for d, ci, z in zip(direction, c, VALENCE.flat))
+        return direction / self.dt - self.params.diffusion * self._weighted_div(grad_dmu)
 
     def preconditioner(self, z: np.ndarray) -> np.ndarray:
-        """Spectral preconditioner per species on a (2, N, N) stack or its ravel."""
+        """Spectral preconditioner P per species on a (2, N, N) stack or its ravel."""
         grid = self.grid
         out = np.empty_like(self.c_prev)
         for i, (pre, r) in enumerate(zip(self._pre, z.reshape(out.shape))):
@@ -271,10 +305,12 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         if iters >= cfg.newton_max_iter:
             raise NoConvergenceError("ion-transport Newton solve exhausted", iters, res)
         rhs = -r.ravel()
-        jacobian = partial(system.jacobian_action, c)
-        z, info = gmres(jacobian, rhs, rtol=NEWTON_GMRES_TOL, atol=0.0,
+        # right preconditioning: GMRES solves J P y = rhs, the update is z = P y
+        z, info = gmres(partial(system.preconditioned_action, c), rhs,
+                        rtol=NEWTON_GMRES_TOL, atol=0.0,
                         restart=NEWTON_GMRES_RESTART,
-                        maxiter=NEWTON_GMRES_MAX_CYCLES, M=system.preconditioner)
+                        maxiter=NEWTON_GMRES_MAX_CYCLES)
+        z = system.preconditioner(z)
         # exact mass conservation: the update never moves the (0,0) mode
         dc = np.stack([d - d.mean() for d in z.reshape(c.shape)])
 
@@ -291,7 +327,8 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         if not accepted:
             message = "ion-transport line search stalled"
             if info > 0:
-                lin_res = np.linalg.norm(jacobian(z) - rhs) / np.linalg.norm(rhs)
+                lin_res = (np.linalg.norm(system.jacobian_action(c, z) - rhs)
+                           / np.linalg.norm(rhs))
                 message += (f" after an unconverged inner GMRES solve ({info} iterations,"
                             f" relative residual {lin_res:.3e} > {NEWTON_GMRES_TOL:g})")
             raise NoConvergenceError(message, iters, res)

@@ -117,7 +117,10 @@ class Grid:
         return self.irfft(self._iky * self.rfft(values))
 
     def grad(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.rfft(values)
+        return self.grad_spectrum(self.rfft(values))
+
+    def grad_spectrum(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of the field whose half spectrum is spec."""
         return self.irfft(self._ikx * spec), self.irfft(self._iky * spec)
 
     def div(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -137,10 +140,17 @@ class Grid:
         return float(np.sqrt((values * values).sum() * self.weight))
 
     # -- elliptic solves ---------------------------------------------------------
-    def inv_laplacian_zero_mean(self, values: np.ndarray) -> np.ndarray:
-        """Solve -lap(g) = values with <g, 1> = 0; requires zero-mean input."""
-        nrm = self.norm(values)
-        if abs(self.integral(values)) > 1e-10 * max(nrm, 1e-300):
+    def inv_laplacian_zero_mean(self, values: np.ndarray,
+                                scale: float | None = None) -> np.ndarray:
+        """Solve -lap(g) = values with <g, 1> = 0; requires zero-mean input.
+
+        The mean is judged against `scale` (default: the norm of values). A
+        caller whose values are a difference of larger fields passes their
+        size, since the mean carries their roundoff.
+        """
+        if scale is None:
+            scale = self.norm(values)
+        if abs(self.integral(values)) > 1e-10 * max(scale, 1e-300):
             raise NonZeroMeanError(
                 f"inv_laplacian requires a zero-mean source; <f,1>={self.integral(values):.3e}"
             )

@@ -39,6 +39,19 @@ def grid64() -> Grid:
     return make_grid(64)
 
 
+@pytest.fixture
+def transforms(monkeypatch) -> dict:
+    """Counts Grid.rfft and Grid.irfft calls in transforms["calls"]."""
+    counter = {"calls": 0}
+    for name in ("rfft", "irfft"):
+        def counted(self, values, _original=getattr(Grid, name)):
+            counter["calls"] += 1
+            return _original(self, values)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return counter
+
+
 def band_limited(grid: Grid, rng, kmax: int | None = None,
                  amplitude: float = 1.0) -> np.ndarray:
     """Random real field with spectrum confined to |kx|, |ky| < kmax."""

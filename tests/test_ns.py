@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from pnpns.errors import NoConvergenceError
-from pnpns.ns import ion_forcing, project_velocity, solve_velocity, velocity_step
-from pnpns.spectral import ScalarField, VectorField, vector_norm
+from pnpns.ns import (
+    advect_diffuse_product,
+    ion_forcing,
+    project_velocity,
+    solve_velocity,
+    velocity_step,
+)
+from pnpns.spectral import ScalarField, VectorField, make_grid, vector_norm
 from pnpns.state import PhysParams, SchemeConfig
 
 from conftest import band_limited, div_free_velocity
@@ -101,6 +107,54 @@ class TestSolveVelocity:
                                           band_limited(grid16, rng))
         with pytest.raises(NoConvergenceError):
             solve_velocity(u_m, zero, forcing, None, PhysParams(), 0.05, cfg)
+
+
+class TestPreconditionedProduct:
+    """The momentum BiCGStab operator A S with S = (1/dt - nu lap)^{-1}."""
+
+    @pytest.fixture
+    def setting(self, grid8, rng):
+        dt, viscosity = 0.05, 0.3
+        ux, uy = div_free_velocity(grid8, rng, amplitude=0.7, kmax=3)
+        symbol = 1.0 / (1.0 / dt + viscosity * grid8._k2)
+        return grid8, ux, uy, symbol, dt, viscosity
+
+    def test_matches_operator_after_preconditioner(self, setting):
+        grid, ux, uy, symbol, dt, viscosity = setting
+        shape = (grid.n_modes,) * 2
+
+        def operator(w):
+            gx, gy = grid.grad(w)
+            return w / dt + ux * gx + uy * gy - viscosity * grid.laplacian(w)
+
+        def dense(fn):
+            return np.column_stack([fn(e.reshape(shape)).ravel()
+                                    for e in np.eye(grid.n_modes**2)])
+
+        a = dense(operator)
+        s = dense(lambda w: grid.irfft(symbol * grid.rfft(w)))
+        folded = dense(lambda v: advect_diffuse_product(grid, ux, uy, symbol, v))
+        assert np.linalg.norm(folded - a @ s) <= 1e-12 * np.linalg.norm(a @ s)
+
+    def test_three_transforms_per_product(self, setting, rng, transforms):
+        grid, ux, uy, symbol, _, _ = setting
+        v = rng.standard_normal((grid.n_modes,) * 2)
+        transforms["calls"] = 0
+        advect_diffuse_product(grid, ux, uy, symbol, v)
+        assert transforms["calls"] == 3
+
+    def test_vortex_application_count(self):
+        """BiCGStab work on an N=32 vortex flow: 22 applications, as when S and A ran in turn."""
+        grid = make_grid(32)
+        rng = np.random.default_rng(32)
+        ux, uy = div_free_velocity(grid, rng, amplitude=0.3, kmax=8)
+        u_m = VectorField.from_arrays(grid, ux, uy)
+        phi = ScalarField(grid, band_limited(grid, rng, kmax=8, amplitude=0.2))
+        cfg = SchemeConfig(n_modes=32, dt=1e-2, t_final=1e-2)
+        _, iters, residual = solve_velocity(u_m, phi, VectorField.zero(grid), None,
+                                            PhysParams(viscosity=1e-2), cfg.dt, cfg)
+        assert iters == 22
+        assert residual <= cfg.krylov_tol
 
 
 class TestProjection:

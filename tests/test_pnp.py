@@ -1,6 +1,7 @@
 """Ion-transport step: potentials, mobility, residual, functional, Newton solve."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -192,27 +193,57 @@ class TestJacobian:
         assert num <= 1e-6 * den
 
 
+def step1_operators(grid, rng):
+    """Step1System on N=8, an iterate c and the dense Jacobian J(c)."""
+    params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.7)
+    state = admissible_state(grid, rng)
+    cand_p, cand_n = perturbed(state, grid, rng, amplitude=0.05, kmax=2)
+    system = Step1System(state, params, dt=0.05)
+    c = np.stack((cand_p.values, cand_n.values))
+    eye = np.eye(2 * grid.n_modes**2)
+    dense = np.column_stack([system.jacobian_action(c, e) for e in eye])
+    return system, c, dense
+
+
+class TestPreconditionedAction:
+    def test_matches_jacobian_after_preconditioner(self, grid8, rng):
+        system, c, dense = step1_operators(grid8, rng)
+        eye = np.eye(dense.shape[0])
+        folded = np.column_stack([system.preconditioned_action(c, e) for e in eye])
+        expected = dense @ np.column_stack([system.preconditioner(e) for e in eye])
+        assert np.linalg.norm(folded - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_keeps_the_shape_of_its_input(self, grid8, rng):
+        system, c, _ = step1_operators(grid8, rng)
+        v = rng.standard_normal(c.shape)
+        stacked = system.preconditioned_action(c, v)
+        assert stacked.shape == c.shape
+        assert np.array_equal(system.preconditioned_action(c, v.ravel()), stacked.ravel())
+
+    def test_transform_counts(self, grid8, rng, transforms):
+        system, c, _ = step1_operators(grid8, rng)
+        v = rng.standard_normal(c.size)
+        transforms["calls"] = 0
+        system.preconditioned_action(c, v)
+        assert transforms["calls"] == 16
+        transforms["calls"] = 0
+        system.jacobian_action(c, v)
+        assert transforms["calls"] == 13
+
+
 class TestGmres:
     @pytest.fixture
     def jacobian(self, grid8, rng):
-        """Step-1 Jacobian map, its preconditioner and its dense matrix on N=8."""
-        params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.7)
-        state = admissible_state(grid8, rng)
-        cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
-        system = Step1System(state, params, dt=0.05)
-        c = np.stack((cand_p.values, cand_n.values))
-
-        def op(z):
-            return system.jacobian_action(c, z)
-
-        dense = np.column_stack([op(e) for e in np.eye(2 * grid8.n_modes**2)])
-        return op, system.preconditioner, dense
+        """The preconditioned Jacobian product J P, the preconditioner P and dense J on N=8."""
+        system, c, dense = step1_operators(grid8, rng)
+        return partial(system.preconditioned_action, c), system.preconditioner, dense
 
     def test_matches_dense_solve(self, jacobian, rng):
         op, pre, dense = jacobian
         b = rng.standard_normal(dense.shape[0])
         rtol = 1e-10
-        x, info = pnp.gmres(op, b, rtol=rtol, restart=300, maxiter=2, M=pre)
+        y, info = pnp.gmres(op, b, rtol=rtol, restart=300, maxiter=2)
+        x = pre(y)
         expected = np.linalg.solve(dense, b)
         assert info == 0
         # a residual within rtol bounds the error by cond(J) * rtol
@@ -231,13 +262,13 @@ class TestGmres:
 
         estimates = []
         rtol = 1e-8
-        x, info = pnp.gmres(counted, b, rtol=rtol, restart=300, maxiter=1, M=pre,
+        y, info = pnp.gmres(counted, b, rtol=rtol, restart=300, maxiter=1,
                             callback=estimates.append, callback_type="pr_norm")
         assert info == 0
         # one product per inner iteration plus the true-residual check
         assert len(estimates) == matvecs - 1 > 1
         assert estimates[-1] <= rtol
-        assert np.linalg.norm(b - dense @ x) <= rtol * np.linalg.norm(b)
+        assert np.linalg.norm(b - dense @ pre(y)) <= rtol * np.linalg.norm(b)
 
     def test_identity_happy_breakdown(self, rng):
         b = rng.standard_normal(50)
@@ -257,9 +288,9 @@ class TestGmres:
         assert np.array_equal(x, np.zeros_like(b))
 
     def test_exhausted_budget_reports_info(self, jacobian, rng):
-        op, pre, dense = jacobian
+        op, _, dense = jacobian
         b = rng.standard_normal(dense.shape[0])
-        _, info = pnp.gmres(op, b, rtol=1e-10, restart=2, maxiter=1, M=pre)
+        _, info = pnp.gmres(op, b, rtol=1e-10, restart=2, maxiter=1)
         assert info > 0
 
 
@@ -430,3 +461,20 @@ class TestSolveStep1:
         # Krylov-work guard: 58 + 155 + 175 = 388 inner iterations when written
         assert len(inner_iters) == result.newton_iters == 3
         assert sum(inner_iters) <= 1.25 * 388
+
+    @pytest.mark.xfail(raises=NoConvergenceError, strict=True, reason=(
+        "on the coarse N=20 grid the Newton iterates of the two-blob step drive "
+        "min(p, n) from the 1e-6 floor down to 3e-14, the fraction-to-boundary rule "
+        "caps every step near alpha = 0.08, and the line search stalls at residual "
+        "~14 after 21 iterations (N=12 and N=22 fail the same way; N=16, 18, 24 and "
+        "32 converge), although the step's convex problem has a positive minimizer"))
+    def test_coarse_blob_step_converges(self):
+        from pnpns.config import blob_concentration
+        from pnpns.integrator import initialize
+        params = PhysParams(epsilon=1.0, kappa=10000.0)
+        cfg = SchemeConfig(n_modes=20, dt=1e-4, t_final=1e-4)
+        state = initialize(blob_concentration(0.8 * np.pi, 0.8 * np.pi),
+                           blob_concentration(1.2 * np.pi, 1.2 * np.pi),
+                           None, params, cfg)
+        result = solve_step1(state, params, cfg.dt, cfg)
+        assert result.p_new.values.min() > 0
