@@ -25,7 +25,7 @@ DIAGNOSTICS_COLUMNS = (
     "step", "time", "mass_p", "mass_n", "min_p", "min_n", "max_p", "max_n",
     "energy_total", "energy_entropy_p", "energy_entropy_n", "energy_field",
     "energy_kinetic", "energy_pressure_aug", "newton_iters", "residual_step1",
-    "krylov_iters_step2", "residual_step2",
+    "krylov_iters_step1", "krylov_iters_step1_max", "krylov_iters_step2", "residual_step2",
 )
 
 PLOT_SAMPLE_TARGET = 32  # quiver stride aims at ~32 samples per direction
@@ -44,6 +44,7 @@ def _diagnostics_row(diag: StepDiagnostics) -> list[str]:
         diag.min_p, diag.min_n, diag.max_p, diag.max_n,
         e.total, e.entropy_p, e.entropy_n, e.field, e.kinetic, e.pressure_aug,
         diag.newton_iters, diag.residual_step1,
+        diag.krylov_iters_step1, diag.krylov_iters_step1_max,
         diag.krylov_iters_step2, diag.residual_step2,
     )
     return [_fmt(c) for c in cells]

@@ -144,6 +144,8 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         max_n=float(new_state.n.values.max()),
         energy=energy,
         newton_iters=step1.newton_iters,
+        krylov_iters_step1=step1.krylov_iters,
+        krylov_iters_step1_max=step1.krylov_iters_max,
         krylov_iters_step2=vel.krylov_iters,
         residual_step1=step1.final_residual,
         residual_step2=vel.residual,

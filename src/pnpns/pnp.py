@@ -12,10 +12,23 @@ treatment unconditionally stable:
 The solve is Newton-Krylov on the collocation residual in c with psi
 eliminated, an Armijo backtracking line search on the residual norm, and a
 fraction-to-boundary rule that keeps every iterate strictly positive. GMRES
-works on the Jacobian right-preconditioned by a per-species spectral
-operator P, given as one product J P that hands P's spectra straight to
-the Jacobian (Step1System.preconditioned_action); the update is P y. The
-underlying minimization problem is strictly convex; its objective is
+works on the Jacobian right-preconditioned by a per-species operator P,
+given as one product J P (Step1System.preconditioned_action); the update is
+P y. P is chosen once per step from the previous state:
+
+  * spectral path: (1/dt - D cbar lap)^{-1} with cbar the mean of M/c_old,
+    diagonal in Fourier space; its spectra feed the Jacobian directly.
+  * line path, when max c_old / min c_old of a species exceeds
+    LINE_CONTRAST (a near-vacuum state): in the log variable w = dc/c_old
+    the linearized operator is A = diag(c_old/dt) - D div(M grad .), whose
+    spectral derivatives couple the cells of each grid line densely. P v =
+    c_old w, with w from exact solves on the columns, then on the rows
+    (LinePreconditioner), all frozen at c_old for the step. The
+    constant-coefficient symbol cannot see a contrast of 1e6 in M and needs
+    hundreds of GMRES iterations per Newton there; the line solves need a
+    few.
+
+The underlying minimization problem is strictly convex; its objective is
 evaluated separately (Step1System.objective) as an optimality certificate;
 the line search does not use it.
 
@@ -28,11 +41,13 @@ species-by-species computation.
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf as potrf, dpotri as potri
 
 from .errors import (
     MassMismatchError,
@@ -56,6 +71,17 @@ NEWTON_GMRES_MAX_CYCLES = 2
 #: a previous state with a smaller minimum concentration is rejected outright
 MIN_CONCENTRATION = 1e-14
 
+#: the ion step is preconditioned by line solves when max c_old / min c_old
+#: of some species exceeds this, and by the spectral symbols otherwise. From
+#: a sweep of the first two-blob step (kappa = 1e4, dt = 1e-4) over the
+#: blobs' floor, in ms per step on a 2-CPU VM with one BLAS thread
+#: (spectral / line): 41 / 40 at contrast 1.7e3 and 55 / 40 at 5.5e3 for
+#: N = 64; 221 / 337 and 343 / 315 for N = 128, where the O(N^4) build of
+#: the line path weighs more. The line path takes 2-7 GMRES per Newton at
+#: every floor, the spectral one 2-9 at contrast 18 and 45-481 at 1.7e6.
+#: 3e3 keeps both sizes within 1.25x of the faster path.
+LINE_CONTRAST = 3e3
+
 #: line search constants: Armijo slope fraction and backtracking factor
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -69,6 +95,9 @@ BOUNDARY_FRACTION = 0.1
 class Step1Result:
     """Outcome of one ion-transport solve.
 
+    krylov_iters and krylov_iters_max are the sum and the largest, over the
+    Newton iterations, of the Krylov products J P each GMRES solve applied:
+    one per GMRES iteration plus one true-residual check per restart cycle.
     j_initial/j_final hold the convex objective at the initial guess and at
     the solution when functional tracking is enabled, NaN otherwise.
     """
@@ -79,6 +108,8 @@ class Step1Result:
     mu_new: ScalarField
     nu_new: ScalarField
     newton_iters: int
+    krylov_iters: int
+    krylov_iters_max: int
     final_residual: float
     j_initial: float
     j_final: float
@@ -112,12 +143,92 @@ def _require_positive(c: np.ndarray) -> None:
             raise NonPositiveConcentrationError(f"{name} must be positive, min={m:.3e}")
 
 
+def line_blocks(d: np.ndarray, s: np.ndarray, m: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The (N, N, N) stack of A = diag(s) - div(m grad .) restricted to each column.
+
+    d is the differentiation matrix (Grid.diff_matrix). Block j couples the
+    cells of column j, which only the x derivatives do:
+    d^T diag(m[:, j]) d, plus the diagonal s[:, j] + (m @ (d*d))[:, j], whose
+    second term is the y operator's own diagonal there. The blocks of the
+    rows are line_blocks(d, s.T, m.T). Each block is symmetric positive
+    definite where s > 0. Written to out when given.
+    """
+    n = d.shape[0]
+    if out is None:
+        out = np.empty((n, n, n))
+    for block, mj in zip(out, m.T):
+        np.matmul(d.T * mj, d, out=block)
+    diag = np.arange(n)
+    out[:, diag, diag] += (s + m @ (d * d)).T
+    return out
+
+
+def _invert_spd(blocks: np.ndarray) -> np.ndarray:
+    """Replace each block of a symmetric positive definite (M, N, N) stack by its inverse.
+
+    Cholesky (LAPACK potrf, potri), half the flops of an LU inverse, one
+    block at a time, so no second stack is allocated. A block that is not
+    numerically positive definite, as a line through a lone concentrated
+    cell in a vacuum near MIN_CONCENTRATION at kappa dt = 1e4 gives, is
+    inverted by LU instead.
+    """
+    lower = np.tril_indices(blocks.shape[1], -1)
+    for block in blocks:
+        # LAPACK reads the C-ordered block as its transpose: the same matrix
+        factor, info = potrf(block.T)
+        if info == 0:
+            inverse, info = potri(factor, overwrite_c=True)
+        if info != 0:
+            block[...] = np.linalg.inv(block)
+            continue
+        block[...] = inverse  # valid in the upper triangle
+        block[lower] = block.T[lower]
+    return blocks
+
+
+class LinePreconditioner:
+    """Approximate inverse of A = diag(s) - div(m grad .) by exact line solves.
+
+    With A = B_x + Y_off, B_x the blocks of the columns and Y_off the
+    y-coupling between the cells of a row, the approximation is
+    w = B_x^{-1} v, then w += B_y^{-1} (v - A w) with B_y the blocks of the
+    rows; since B_x w = v, v - A w is -Y_off w. The spectral derivative
+    couples the cells of one grid line densely, and a contrast of 1e6 in m
+    makes that coupling matter, which a line solve resolves exactly. Each
+    direction's blocks are inverted in place: 2 N^3 floats, held for one
+    time step on their own memory map, whose pages go back to the system
+    when the step ends. From the malloc heap they would stay resident,
+    fragmented among the step's small arrays: 5-16 MB more peak memory on
+    the two-blob run at N = 64.
+    """
+
+    def __init__(self, d: np.ndarray, s: np.ndarray, m: np.ndarray):
+        n = d.shape[0]
+        self.d = d
+        self.m = m
+        self.y_diag = m @ (d * d)
+        pages = mmap.mmap(-1, 2 * n**3 * 8, flags=mmap.MAP_PRIVATE)
+        factors = np.frombuffer(pages, dtype=float).reshape(2, n, n, n)
+        self.inv_x = _invert_spd(line_blocks(d, s, m, out=factors[0]))
+        self.inv_y = _invert_spd(line_blocks(d, s.T, m.T, out=factors[1]))
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """w ~ A^{-1} v for an (N, N) field v."""
+        d = self.d
+        w = np.matmul(self.inv_x, v.T[:, :, None])[:, :, 0].T  # column by column
+        y_w = (self.m * (w @ d.T)) @ d  # -d/dy(m dw/dy), row by row
+        w += np.matmul(self.inv_y, (self.y_diag * w - y_w)[:, :, None])[:, :, 0]
+        return w
+
+
 class Step1System:
     """Per-step residual/Jacobian machinery on stacked (p, n) arrays.
 
-    Everything that depends only on the previous state is precomputed once:
-    explicit convection divergences, augmented mobilities and the spectral
-    preconditioner symbols.
+    Everything that depends only on the previous state is computed once:
+    explicit convection divergences, augmented mobilities and the
+    preconditioner, the spectral symbols or, on the line path, the line
+    solves, built on the first Krylov product.
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
@@ -141,12 +252,21 @@ class Step1System:
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
         self.source = None if sources is None else np.stack(sources)
 
-        # spectral preconditioner (1/dt - D cbar lap)^{-1} per species, with
-        # cbar the mean diffusion coefficient of the linearized operator
-        # (M/c, not M itself: the Jacobian differentiates through ln c)
-        d = params.diffusion
-        self._pre = [1.0 / (1.0 / dt + d * float(ratio.mean()) * grid._k2)
-                     for ratio in self.m / self.c_prev]
+        self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
+        if not self.line_path:
+            # spectral preconditioner (1/dt - D cbar lap)^{-1} per species, with
+            # cbar the mean diffusion coefficient of the linearized operator
+            # (M/c, not M itself: the Jacobian differentiates through ln c)
+            d = params.diffusion
+            self._pre = [1.0 / (1.0 / dt + d * float(ratio.mean()) * grid._k2)
+                         for ratio in self.m / self.c_prev]
+
+    @cached_property
+    def _lines(self) -> list[LinePreconditioner]:
+        """The line preconditioner of each species, built on the first Krylov product."""
+        d = self.params.diffusion
+        return [LinePreconditioner(self.grid.diff_matrix, ci / self.dt, d * mi)
+                for ci, mi in zip(self.c_prev, self.m)]
 
     def potentials(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi from -eps lap psi = p - n, and the stacked mu_i = ln c_i + z_i psi."""
@@ -156,13 +276,18 @@ class Step1System:
 
     # -- nonlinear residual -------------------------------------------------
     def residual(self, c: np.ndarray) -> np.ndarray:
+        return self.residual_and_potentials(c)[0]
+
+    def residual_and_potentials(
+            self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stacked residual at c, with the psi and mu it was formed from."""
         d = self.params.diffusion
-        _, mu = self.potentials(c)
+        psi, mu = self.potentials(c)
         flux_div = self._weighted_div(map(self.grid.grad, mu))
         r = (c - self.c_prev) / self.dt + self.conv - d * flux_div
         if self.source is not None:
             r = r - self.source
-        return r
+        return r, psi, mu
 
     def _weighted_div(self, gradients: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """div(M_i grad f_i) for each species, from the gradients of the f_i in turn."""
@@ -183,11 +308,13 @@ class Step1System:
     def preconditioned_action(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J(c) P v for P the preconditioner; same shape back.
 
-        The operator GMRES works on. P ends in the spectra of P v, which
-        give the Jacobian its charge spectrum, so P v is transformed back
-        once and never forward again: 16 transforms where P followed by J
-        takes 18.
+        The operator GMRES works on. On the spectral path P ends in the
+        spectra of P v, which give the Jacobian its charge spectrum, so P v
+        is transformed back once and never forward again: 16 transforms
+        where P followed by J takes 18. The line path applies P, then J.
         """
+        if self.line_path:
+            return self.jacobian_action(c, self.preconditioner(v))
         grid = self.grid
         direction = np.empty_like(c)
         charge = 0.0
@@ -212,11 +339,16 @@ class Step1System:
         return direction / self.dt - self.params.diffusion * self._weighted_div(grad_dmu)
 
     def preconditioner(self, z: np.ndarray) -> np.ndarray:
-        """Spectral preconditioner P per species on a (2, N, N) stack or its ravel."""
-        grid = self.grid
+        """The preconditioner P per species on a (2, N, N) stack or its ravel."""
         out = np.empty_like(self.c_prev)
-        for i, (pre, r) in enumerate(zip(self._pre, z.reshape(out.shape))):
-            out[i] = grid.irfft(pre * grid.rfft(r))
+        if self.line_path:
+            for i, (line, ci, r) in enumerate(zip(self._lines, self.c_prev,
+                                                  z.reshape(out.shape))):
+                out[i] = ci * line.solve(r)  # dc = c_old w
+        else:
+            grid = self.grid
+            for i, (pre, r) in enumerate(zip(self._pre, z.reshape(out.shape))):
+                out[i] = grid.irfft(pre * grid.rfft(r))
         return out.reshape(z.shape)
 
     def norm(self, r: np.ndarray) -> float:
@@ -296,20 +428,22 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     grid = prev.grid
 
     c = system.c_prev.copy()
-    r = system.residual(c)
+    r, psi, mu = system.residual_and_potentials(c)
     res = system.norm(r)
     threshold = cfg.newton_tol * (1.0 + system.norm(system.c_prev))
     iters = 0
+    products = []  # Krylov products per Newton iteration
 
     while res > threshold:
         if iters >= cfg.newton_max_iter:
             raise NoConvergenceError("ion-transport Newton solve exhausted", iters, res)
         rhs = -r.ravel()
         # right preconditioning: GMRES solves J P y = rhs, the update is z = P y
-        z, info = gmres(partial(system.preconditioned_action, c), rhs,
-                        rtol=NEWTON_GMRES_TOL, atol=0.0,
+        jp = _Counted(partial(system.preconditioned_action, c))
+        z, info = gmres(jp, rhs, rtol=NEWTON_GMRES_TOL, atol=0.0,
                         restart=NEWTON_GMRES_RESTART,
                         maxiter=NEWTON_GMRES_MAX_CYCLES)
+        products.append(jp.calls)
         z = system.preconditioner(z)
         # exact mass conservation: the update never moves the (0,0) mode
         dc = np.stack([d - d.mean() for d in z.reshape(c.shape)])
@@ -318,7 +452,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = c + alpha * dc
-            t_r = system.residual(trial)
+            t_r, t_psi, t_mu = system.residual_and_potentials(trial)
             t_res = system.norm(t_r)
             if t_res <= (1.0 - ARMIJO_C1 * alpha) * res:
                 accepted = True
@@ -332,7 +466,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
                 message += (f" after an unconverged inner GMRES solve ({info} iterations,"
                             f" relative residual {lin_res:.3e} > {NEWTON_GMRES_TOL:g})")
             raise NoConvergenceError(message, iters, res)
-        c, r, res = trial, t_r, t_res
+        c, r, res, psi, mu = trial, t_r, t_res, t_psi, t_mu
         iters += 1
 
     for new, old, name in zip(c, system.c_prev, SPECIES):
@@ -340,7 +474,6 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         if drift > 1e-11 * abs(grid.integral(old)):
             raise MassMismatchError(f"step lost {name}-mass: drift {drift:.3e}")
 
-    psi, mu = system.potentials(c)
     j_initial = j_final = math.nan
     if cfg.track_functional:
         j_initial = system.objective(system.c_prev)
@@ -353,10 +486,24 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         mu_new=ScalarField(grid, mu[0]),
         nu_new=ScalarField(grid, mu[1]),
         newton_iters=iters,
+        krylov_iters=sum(products),
+        krylov_iters_max=max(products, default=0),
         final_residual=res,
         j_initial=j_initial,
         j_final=j_final,
     )
+
+
+class _Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
 
 
 def _boundary_step(values: np.ndarray, direction: np.ndarray) -> float:

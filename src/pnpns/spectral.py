@@ -20,7 +20,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -43,7 +43,8 @@ CG_MAX_ITER_PER_MODE = 50
 class Grid:
     """Collocation grid on (0, 2pi)^2 with cached spectral machinery.
 
-    Immutable after construction; safe to share between threads. All array
+    Immutable after construction, apart from the differentiation matrix,
+    which is built on first use; safe to share between threads. All array
     attributes are read-only views.
     """
 
@@ -115,6 +116,17 @@ class Grid:
 
     def ddy(self, values: np.ndarray) -> np.ndarray:
         return self.irfft(self._iky * self.rfft(values))
+
+    @cached_property
+    def diff_matrix(self) -> np.ndarray:
+        """The 1-D spectral differentiation matrix d: ddx(f) = d @ f, ddy(f) = f @ d.T.
+
+        ddx applied to the identity; antisymmetric, with the Nyquist mode
+        zeroed like the first derivatives. Built once, on first use.
+        """
+        d = self.ddx(np.eye(self.n_modes))
+        d.setflags(write=False)
+        return d
 
     def grad(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.grad_spectrum(self.rfft(values))

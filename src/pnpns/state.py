@@ -112,7 +112,13 @@ class EnergyBreakdown:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step invariant ledger."""
+    """Per-step invariant ledger.
+
+    krylov_iters_step1 and krylov_iters_step1_max are the sum and the
+    largest, over the ion step's Newton iterations, of the Krylov products
+    each GMRES solve applied; krylov_iters_step2 counts the operator
+    applications of the momentum solves.
+    """
 
     step_index: int
     time: float
@@ -124,6 +130,8 @@ class StepDiagnostics:
     max_n: float
     energy: EnergyBreakdown
     newton_iters: int
+    krylov_iters_step1: int
+    krylov_iters_step1_max: int
     krylov_iters_step2: int
     residual_step1: float
     residual_step2: float

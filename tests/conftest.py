@@ -35,11 +35,6 @@ def grid16() -> Grid:
 
 
 @pytest.fixture
-def grid64() -> Grid:
-    return make_grid(64)
-
-
-@pytest.fixture
 def transforms(monkeypatch) -> dict:
     """Counts Grid.rfft and Grid.irfft calls in transforms["calls"]."""
     counter = {"calls": 0}

@@ -12,11 +12,18 @@ from pnpns.errors import (
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
-from pnpns.pnp import Step1System, compute_psi, functional_value, mobility, solve_step1
-from pnpns.spectral import ScalarField, VectorField
+from pnpns.pnp import (
+    Step1System,
+    compute_psi,
+    functional_value,
+    line_blocks,
+    mobility,
+    solve_step1,
+)
+from pnpns.spectral import ScalarField, VectorField, make_grid
 from pnpns.state import PhysParams, SchemeConfig, SimState, mass
 
-from conftest import admissible_state, band_limited
+from conftest import admissible_state, band_limited, div_free_velocity
 from oracles import dense_solve_zero_mean, dense_weighted_laplacian
 
 TWO_PI = 2.0 * np.pi
@@ -30,6 +37,41 @@ def perturbed(state, grid, rng, amplitude, kmax=3):
     n = state.n.values + (dn - dn.mean())
     assert p.min() > 0 and n.min() > 0
     return ScalarField(grid, p), ScalarField(grid, n)
+
+
+def blob_step(n_modes):
+    """(state, params, cfg) for the first step of the two-blob experiment (preset blobs_5_2)."""
+    from pnpns.config import blob_concentration
+    from pnpns.integrator import initialize
+    params = PhysParams(epsilon=1.0, kappa=10000.0)
+    cfg = SchemeConfig(n_modes=n_modes, dt=1e-4, t_final=1e-4)
+    state = initialize(blob_concentration(0.8 * np.pi, 0.8 * np.pi),
+                       blob_concentration(1.2 * np.pi, 1.2 * np.pi),
+                       None, params, cfg)
+    return state, params, cfg
+
+
+def counting_gmres(monkeypatch):
+    """Per GMRES solve in the ion step: [iterations, Krylov products, info]."""
+    solves = []
+    solve = pnp.gmres
+
+    def counting(A, b, **kwargs):
+        record = [0, 0, None]
+        solves.append(record)
+
+        def product(v):
+            record[1] += 1
+            return A(v)
+
+        def callback(_estimate):
+            record[0] += 1
+
+        x, record[2] = solve(product, b, callback=callback, callback_type="pr_norm", **kwargs)
+        return x, record[2]
+
+    monkeypatch.setattr(pnp, "gmres", counting)
+    return solves
 
 
 def rest_system(grid, params=PhysParams(), dt=0.1):
@@ -294,6 +336,98 @@ class TestGmres:
         assert info > 0
 
 
+def contrast_state(grid, rng, log_range=12.0):
+    """Previous state at rest whose concentrations span a contrast of about e^log_range."""
+    p, n = (np.exp(band_limited(grid, rng, amplitude=0.5 * log_range)) for _ in range(2))
+    n *= p.sum() / n.sum()
+    zero = ScalarField.constant(grid, 0.0)
+    return SimState(p=ScalarField(grid, p), n=ScalarField(grid, n), psi=zero,
+                    u=VectorField.zero(grid), phi=zero.copy())
+
+
+def dense_log_operator(grid, s, m):
+    """A = diag(s) - div(m grad .) as a dense matrix, column by column through Grid ops."""
+    n = grid.n_modes
+    columns = []
+    for e in np.eye(n * n):
+        w = e.reshape(n, n)
+        gx, gy = grid.grad(w)
+        columns.append((s * w - grid.div(m * gx, m * gy)).ravel())
+    return np.column_stack(columns)
+
+
+class TestLinePreconditioner:
+    def test_diff_matrix_reproduces_grid_derivatives(self, grid, rng):
+        d = grid.diff_matrix
+        f = band_limited(grid, rng)
+        for ours, theirs in ((d @ f, grid.ddx(f)), (f @ d.T, grid.ddy(f))):
+            assert np.abs(ours - theirs).max() <= 1e-13 * np.abs(theirs).max()
+        assert np.abs(d + d.T).max() <= 1e-14 * np.abs(d).max()
+        assert grid.diff_matrix is d  # built once
+
+    def test_blocks_are_the_operator_on_each_grid_line(self, grid8, rng):
+        n = grid8.n_modes
+        params = PhysParams(kappa=50.0, diffusion=0.7)
+        dt = 0.05
+        c = contrast_state(grid8, rng).p.values
+        s = c / dt
+        m = params.diffusion * mobility(c, dt, params.kappa, params.diffusion)
+        dense = dense_log_operator(grid8, s, m)
+        d = grid8.diff_matrix
+        lines = [(line_blocks(d, s, m), lambda j: np.s_[j::n]),  # columns: cells (., j)
+                 (line_blocks(d, s.T, m.T), lambda i: np.s_[i * n:(i + 1) * n])]  # rows
+        for blocks, cells in lines:
+            for k, block in enumerate(blocks):
+                expected = dense[cells(k), cells(k)]
+                assert np.linalg.norm(block - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_block_inverse_falls_back_to_lu(self, rng):
+        half = rng.standard_normal((3, 6, 6))
+        stack = half @ half.transpose(0, 2, 1) + 0.1 * np.eye(6)  # positive definite
+        stack[1] = half[1] + half[1].T  # indefinite: no Cholesky factor
+        expected = np.linalg.inv(stack)
+        ours = pnp._invert_spd(stack.copy())
+        for block, ref in zip(ours, expected):
+            assert np.linalg.norm(block - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_preconditioner_is_two_line_sweeps(self, grid8, rng):
+        n = grid8.n_modes
+        params = PhysParams(kappa=50.0, diffusion=0.7)
+        dt = 0.05
+        state = contrast_state(grid8, rng)
+        system = Step1System(state, params, dt)
+        assert system.line_path
+        v = rng.standard_normal((2, n, n))
+        got = system.preconditioner(v)
+        cell = np.arange(n * n)
+        same_column = cell[:, None] % n == cell[None, :] % n
+        same_row = cell[:, None] // n == cell[None, :] // n
+        for c, m, vi, ours in zip(system.c_prev, system.m, v, got):
+            a = dense_log_operator(grid8, c / dt, params.diffusion * m)
+            w = np.linalg.solve(np.where(same_column, a, 0.0), vi.ravel())
+            w += np.linalg.solve(np.where(same_row, a, 0.0), vi.ravel() - a @ w)
+            expected = c.ravel() * w
+            assert np.linalg.norm(ours.ravel() - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_path_follows_the_contrast(self, rng):
+        from pnpns import mms
+        from pnpns.integrator import initialize
+        grid = make_grid(32)
+        cfg = SchemeConfig(n_modes=32, dt=0.01, t_final=0.01)
+        params = PhysParams()
+        charge = band_limited(grid, rng, kmax=8, amplitude=0.2)
+        smooth = [
+            admissible_state(grid, rng),
+            mms.make_case(params).initial_state(cfg),
+            initialize(1.0 + charge - charge.mean(), 1.0 - charge + charge.mean(),
+                       div_free_velocity(grid, rng, amplitude=2.0, kmax=8), params, cfg),
+        ]
+        for state in smooth:
+            assert not Step1System(state, params, cfg.dt).line_path
+        state, params, cfg = blob_step(64)
+        assert Step1System(state, params, cfg.dt).line_path
+
+
 class TestFunctional:
     def test_uniform_rest_value(self, grid16):
         p = ScalarField.constant(grid16, 1.0)
@@ -433,48 +567,45 @@ class TestSolveStep1:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.2)
 
-    def test_blob_preset_single_step(self, grid64, monkeypatch):
+    def test_blob_preset_single_step(self, monkeypatch):
         """First transport step of the two-blob experiment at kappa = 1e4."""
-        inner_iters = []
-        solve = pnp.gmres
-
-        def counting(*args, **kwargs):
-            def callback(_estimate):
-                inner_iters[-1] += 1
-
-            inner_iters.append(0)
-            return solve(*args, callback=callback, callback_type="pr_norm", **kwargs)
-
-        monkeypatch.setattr(pnp, "gmres", counting)
-        from pnpns.config import blob_concentration
-        from pnpns.integrator import initialize
-        params = PhysParams(epsilon=1.0, kappa=10000.0)
-        cfg = SchemeConfig(n_modes=64, dt=1e-4, t_final=1e-4)
-        state = initialize(blob_concentration(0.8 * np.pi, 0.8 * np.pi),
-                           blob_concentration(1.2 * np.pi, 1.2 * np.pi),
-                           None, params, cfg)
+        solves = counting_gmres(monkeypatch)
+        state, params, cfg = blob_step(64)
         result = solve_step1(state, params, cfg.dt, cfg)
         assert result.p_new.values.min() > 0
         assert result.n_new.values.min() > 0
         assert abs(mass(result.p_new) - mass(state.p)) <= 1e-11 * mass(state.p)
         assert abs(mass(result.n_new) - mass(state.n)) <= 1e-11 * mass(state.n)
-        # Krylov-work guard: 58 + 155 + 175 = 388 inner iterations when written
+        inner_iters = [iters for iters, _, _ in solves]
+        # Krylov-work guard: 2 + 3 + 5 = 10 inner iterations when written
         assert len(inner_iters) == result.newton_iters == 3
-        assert sum(inner_iters) <= 1.25 * 388
+        assert sum(inner_iters) <= 1.25 * 10
+        # the step reports the products: one more per solve for the residual check
+        assert result.krylov_iters == sum(products for _, products, _ in solves)
+        assert result.krylov_iters == sum(inner_iters) + 3
+        assert result.krylov_iters_max == max(inner_iters) + 1
+
+    def test_fine_blob_step_stays_in_one_restart_cycle(self, monkeypatch):
+        """The N=128 two-blob step, whose GMRES solves used to restart."""
+        solves = counting_gmres(monkeypatch)
+        state, params, cfg = blob_step(128)
+        result = solve_step1(state, params, cfg.dt, cfg)
+        assert result.p_new.values.min() > 0
+        assert result.n_new.values.min() > 0
+        assert len(solves) == result.newton_iters
+        for iters, products, info in solves:
+            # one cycle: every product but the last (the true-residual check) is an iteration
+            assert info == 0
+            assert products == iters + 1 <= pnp.NEWTON_GMRES_RESTART + 1
 
     @pytest.mark.xfail(raises=NoConvergenceError, strict=True, reason=(
         "on the coarse N=20 grid the Newton iterates of the two-blob step drive "
-        "min(p, n) from the 1e-6 floor down to 3e-14, the fraction-to-boundary rule "
-        "caps every step near alpha = 0.08, and the line search stalls at residual "
-        "~14 after 21 iterations (N=12 and N=22 fail the same way; N=16, 18, 24 and "
-        "32 converge), although the step's convex problem has a positive minimizer"))
+        "min(p, n) from the 1e-6 floor down to 2.6e-12, the fraction-to-boundary rule "
+        "caps every step near alpha = 0.06, and the solve exhausts its 30 Newton "
+        "iterations at residual ~17 (N=12 and N=22 stall in the line search after 15 "
+        "and 19; N=16, 18, 24 and 32 converge), although the step's convex problem "
+        "has a positive minimizer"))
     def test_coarse_blob_step_converges(self):
-        from pnpns.config import blob_concentration
-        from pnpns.integrator import initialize
-        params = PhysParams(epsilon=1.0, kappa=10000.0)
-        cfg = SchemeConfig(n_modes=20, dt=1e-4, t_final=1e-4)
-        state = initialize(blob_concentration(0.8 * np.pi, 0.8 * np.pi),
-                           blob_concentration(1.2 * np.pi, 1.2 * np.pi),
-                           None, params, cfg)
+        state, params, cfg = blob_step(20)
         result = solve_step1(state, params, cfg.dt, cfg)
         assert result.p_new.values.min() > 0

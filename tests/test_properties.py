@@ -4,7 +4,9 @@ One step from a random admissible state must conserve both masses, keep
 both concentrations strictly positive and not increase the modified
 energy, for any grid, time step, coupling and Debye length drawn below. A
 typed PnpnsError is the only other acceptable outcome; a non-finite or
-non-positive field never is.
+non-positive field never is. The random admissible states are smooth, with
+a contrast below 2, so their steps take the spectral preconditioner; the
+two-blob states over a drawn floor reach the line preconditioner.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnpns.errors import NoConvergenceError, NonZeroMeanError, PnpnsError
-from pnpns.integrator import advance
+from pnpns.integrator import advance, initialize
 from pnpns.pnp import compute_psi
 from pnpns.spectral import ScalarField, make_grid
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
@@ -39,8 +41,12 @@ def start(n_modes, dt, kappa, epsilon, seed):
        epsilon=st.floats(1e-2, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_one_step_keeps_mass_positivity_and_energy(n_modes, dt, kappa, epsilon, seed):
-    state, params, cfg = start(n_modes, dt, kappa, epsilon, seed)
-    e_before = total_energy(state, params, dt).total
+    check_one_step(*start(n_modes, dt, kappa, epsilon, seed))
+
+
+def check_one_step(state, params, cfg):
+    """One step keeps mass, positivity and energy, or fails with a typed error."""
+    e_before = total_energy(state, params, cfg.dt).total
     try:
         new, diag = advance(state, params, cfg)
     except PnpnsError:
@@ -50,6 +56,27 @@ def test_one_step_keeps_mass_positivity_and_energy(n_modes, dt, kappa, epsilon, 
         assert abs(mass(after) - mass(before)) <= 1e-10 * mass(before)
         assert after.values.min() > 0.0
     assert diag.energy.total <= e_before + 1e-10 * abs(e_before)
+
+
+def blob(cx, cy, floor):
+    """The blobs_5_2 preset's smoothed disk, on the given floor instead of 1e-6."""
+    radius_sq = (0.2 * np.pi) ** 2
+    return lambda x, y: 1.0 + floor - np.tanh(2.0 * ((x - cx) ** 2 + (y - cy) ** 2 - radius_sq))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n_modes=st.sampled_from([16, 32]),
+       log_floor=st.floats(-8.0, -2.0),
+       dt=st.floats(1e-5, 1e-2),
+       kappa=st.floats(1.0, 1e4))
+def test_two_blob_step_keeps_mass_positivity_and_energy(n_modes, log_floor, dt, kappa):
+    # floors below ~7e-4 put the contrast above pnp.LINE_CONTRAST
+    floor = 10.0 ** log_floor
+    params = PhysParams(kappa=kappa)
+    cfg = SchemeConfig(n_modes=n_modes, dt=dt, t_final=dt)
+    state = initialize(blob(0.8 * np.pi, 0.8 * np.pi, floor), blob(1.2 * np.pi, 1.2 * np.pi, floor),
+                       None, params, cfg)
+    check_one_step(state, params, cfg)
 
 
 def test_near_neutral_step_is_not_rejected():
