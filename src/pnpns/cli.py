@@ -89,19 +89,24 @@ def cmd_run(config_path: str) -> int:
         snapshot_index += 1
         return path
 
-    rows = [",".join(DIAGNOSTICS_COLUMNS)]
+    # Rows stream to disk as their steps complete, so a run that fails or is
+    # killed leaves the steps it finished as evidence.
     diagnostics_path = out_dir / config.diagnostics_csv
-    try:
-        record = run(state, config.params, config.scheme, sources=forcing,
-                     on_step=lambda diag: rows.append(",".join(_diagnostics_row(diag))),
-                     snapshot_writer=snapshot_writer)
-    except PnpnsError as exc:
-        # the steps completed before the failure are evidence: keep them
-        _write_lines(diagnostics_path, rows)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    diagnostics_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(diagnostics_path, "w", encoding="ascii", newline="\n") as diagnostics:
+        def write_row(cells) -> None:
+            diagnostics.write(",".join(cells) + "\n")
+            diagnostics.flush()
 
-    _write_lines(diagnostics_path, rows)
+        write_row(DIAGNOSTICS_COLUMNS)
+        try:
+            record = run(state, config.params, config.scheme, sources=forcing,
+                         on_step=lambda diag: write_row(_diagnostics_row(diag)),
+                         snapshot_writer=snapshot_writer)
+        except PnpnsError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 2
+
     final = record.final_state
     print(f"completed {len(record.diagnostics)} steps to t={final.time:g}; "
           f"mass_p={mass(final.p):.12g} mass_n={mass(final.n):.12g}; "

@@ -116,7 +116,10 @@ class MMSCase:
 
     # -- pointwise evaluators ------------------------------------------------
     def _eval(self, name: str, grid: Grid, t: float) -> np.ndarray:
-        out = self._fns[name](grid.xx, grid.yy, t)
+        # Each field is a sum of products of one-variable factors, so the
+        # trig calls run on the 1-D axes (N points, not N^2) and only the
+        # products broadcast; every element equals the meshgrid evaluation.
+        out = self._fns[name](grid.x[:, None], grid.y[None, :], t)
         return np.broadcast_to(np.asarray(out, dtype=float), grid.xx.shape).copy()
 
     def exact_state(self, t: float, grid: Grid):
@@ -128,13 +131,6 @@ class MMSCase:
         pressure = ScalarField(grid, self._eval("pressure", grid, t))
         psi = ScalarField(grid, self._eval("psi", grid, t))
         return p, n, u, pressure, psi
-
-    def modified_pressure(self, t: float, grid: Grid) -> ScalarField:
-        """Zero-mean modified pressure P - kappa (p + n) of the exact fields."""
-        values = (self._eval("pressure", grid, t)
-                  - self.params.kappa * (self._eval("p", grid, t)
-                                         + self._eval("n", grid, t)))
-        return ScalarField(grid, values - values.mean())
 
     # -- ForcingTerms protocol -------------------------------------------------
     def ion_sources(self, t: float, grid: Grid) -> tuple[ScalarField, ScalarField]:
@@ -155,9 +151,10 @@ class MMSCase:
         error.
         """
         grid = make_grid(cfg.n_modes)
-        p, n, u, _, _ = self.exact_state(t, grid)
-        state = initialize(p, n, (u.x_comp.values, u.y_comp.values),
-                           self.params, cfg, phi_in=self.modified_pressure(t, grid))
+        p, n, ux, uy, pressure = (self._eval(name, grid, t)
+                                  for name in ("p", "n", "u1", "u2", "pressure"))
+        phi = pressure - self.params.kappa * (p + n)  # modified pressure P - kappa (p + n)
+        state = initialize(p, n, (ux, uy), self.params, cfg, phi_in=phi - phi.mean())
         state.time = t
         state.step_index = int(round(t / cfg.dt))
         return state

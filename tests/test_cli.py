@@ -306,6 +306,26 @@ class TestCommands:
         assert lines[0].startswith("step,time,")
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
+    def test_interrupted_run_keeps_streamed_rows(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path / "run.json",
+                                time={"dt": 0.05, "t_final": 0.25})
+        real_advance = integrator.advance
+        calls = 0
+
+        def interrupted_advance(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == 3:
+                raise KeyboardInterrupt
+            return real_advance(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "advance", interrupted_advance)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(cfg_path)])
+        lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert lines[0].startswith("step,time,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
     def test_convergence_command(self, tmp_path, capsys):
         cfg_path = write_config(
             tmp_path / "conv.json",

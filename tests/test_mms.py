@@ -91,6 +91,60 @@ class TestExactState:
             mms.make_case(PhysParams(), "bogus")
 
 
+class TestAxisEvaluation:
+    """_eval runs the closed forms on the 1-D axes and broadcasts to (N, N)."""
+
+    @pytest.mark.parametrize("variant", mms.VARIANTS)
+    @pytest.mark.parametrize("n_modes", [8, 64, 128])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
+    def test_bitwise_equal_to_meshgrid_evaluation(self, variant, n_modes, t):
+        c = mms.make_case(PhysParams(), variant)
+        grid = make_grid(n_modes)
+        for name, fn in c._fns.items():
+            on_mesh = np.broadcast_to(np.asarray(fn(grid.xx, grid.yy, t), dtype=float),
+                                      grid.xx.shape)
+            assert np.array_equal(c._eval(name, grid, t), on_mesh), name
+
+    def test_constant_and_one_variable_fields_fill_the_grid(self):
+        x, y, t = syms = sp.symbols("x y t", real=True)
+        const = sp.Float(1.1)
+        zero = sp.Integer(0)
+        forcing = mms.forcing_expressions(syms, const, const, zero, zero, zero, zero,
+                                          PhysParams())
+        exprs = dict(zip(("f_p", "f_n", "f_u1", "f_u2"), forcing))
+        exprs.update(const=const, in_x=sp.cos(x), in_y=sp.sin(2 * y) * sp.sin(t))
+        fns = {name: sp.lambdify(syms, expr, modules="numpy") for name, expr in exprs.items()}
+        c = mms.MMSCase(mms.DIVERGENCE_FREE, PhysParams(), fns)
+        grid = make_grid(8)
+        for name in exprs:
+            out = c._eval(name, grid, 0.3)
+            assert out.shape == (8, 8) and out.dtype == np.float64, name
+            assert out.flags.c_contiguous and out.flags.writeable, name
+        assert np.array_equal(c._eval("f_p", grid, 0.3), np.zeros((8, 8)))
+        assert np.array_equal(c._eval("const", grid, 0.3), np.full((8, 8), 1.1))
+        assert np.array_equal(c._eval("in_x", grid, 0.3),
+                              np.broadcast_to(np.cos(grid.x)[:, None], (8, 8)))
+
+    def test_no_evaluator_sees_a_full_grid(self, case):
+        shapes = []
+
+        def spy(fn):
+            def wrapped(x, y, t):
+                shapes.append((np.shape(x), np.shape(y)))
+                return fn(x, y, t)
+            return wrapped
+
+        spied = mms.MMSCase(case.variant, case.params,
+                            {name: spy(fn) for name, fn in case._fns.items()})
+        grid = make_grid(16)
+        spied.exact_state(0.3, grid)
+        spied.ion_sources(0.3, grid)
+        spied.momentum_source(0.3, grid)
+        spied.initial_state(SchemeConfig(n_modes=16, dt=0.1, t_final=0.3), t=0.3)
+        assert all(shape == ((16, 1), (1, 16)) for shape in shapes)
+        assert len(shapes) == 15  # initial_state samples each of its 5 fields once
+
+
 class TestForcing:
     def test_constant_fields_have_zero_forcing(self):
         """Steady electroneutral constants solve the unforced system."""
@@ -157,6 +211,28 @@ class TestOneStepConsistency:
             errors.append(err)
         ratio = errors[0] / errors[1]
         assert 3.6 <= ratio <= 4.4
+
+
+class TestSpatialConvergence:
+    def test_refining_n_shrinks_the_error_spectrally(self, case):
+        """At dt = 1e-4 the n and u errors are spatial: each N-refinement cuts them >= 4x.
+
+        p and psi sit at the dt floor (~7e-7 and ~1e-6) on every grid, so
+        they are not refined here.
+        """
+        params = PhysParams()
+        dt = 1e-4
+        errors = []
+        for n_modes in (16, 24, 32):
+            cfg = SchemeConfig(n_modes=n_modes, dt=dt, t_final=5 * dt, newton_tol=1e-12)
+            state = case.initial_state(cfg, t=0.3)
+            for _ in range(5):
+                state, _ = advance(state, params, cfg, sources=case)
+            _, n_ex, u_ex, _, _ = case.exact_state(state.time, state.grid)
+            errors.append((mms.l2_error(state.n, n_ex), mms.l2_error(state.u, u_ex)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse[0] >= 4.0 * fine[0]
+            assert coarse[1] >= 4.0 * fine[1]
 
 
 class TestL2Error:
