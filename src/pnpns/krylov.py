@@ -7,10 +7,18 @@ that preconditions on the right passes the product A M as the operator and
 maps the solution back itself, x = M y: the residual is then still the one
 of the original system, and the caller can fuse the two maps into one.
 
+The test reads the Givens estimate |g_m| of that residual, which the
+rotations give at no cost, and the solve returns as soon as it is met. The
+explicit b - A x costs one more product and is formed only when a cycle
+ends without meeting the test: to restart from it, or to decide the
+reported info after the last cycle.
+
 Each new direction is orthogonalized against the whole basis block at once
 by classical Gram-Schmidt applied twice (two matrix-vector products per
 pass; Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), which keeps
 the basis orthogonal to working precision like modified Gram-Schmidt does.
+The Arnoldi relation then holds to roundoff, so the estimate equals the
+true residual up to roundoff.
 The small least-squares problem is reduced by Givens rotations on Python
 floats as the columns arrive.
 """
@@ -40,8 +48,9 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
     callback_type exists for call compatibility with scipy's gmres; only
     "pr_norm" (or None) is accepted, and it means the estimate above.
 
-    Returns (x, info): info = 0 when the true residual ||b - A x|| meets the
-    tolerance, otherwise the number of inner iterations performed.
+    Returns (x, info): info = 0 when a cycle's residual estimate, or the
+    true residual ||b - A x|| formed at the end of an unconverged cycle,
+    meets the tolerance; otherwise the number of inner iterations performed.
     """
     if callback_type not in (None, "pr_norm"):
         raise ValueError(f"unsupported callback_type {callback_type!r}")
@@ -62,6 +71,7 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
         g = [res_norm]  # rotated right-hand side of the least-squares problem
         r_cols: list[list[float]] = []  # columns of the triangular factor
         rotations: list[tuple[float, float]] = []
+        converged = False
         for k in range(restart):
             w = A(basis[k])
             w_norm = math.sqrt(w @ w)
@@ -92,7 +102,8 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
             iters += 1
             if callback is not None:
                 callback(abs(g[k + 1]) / b_norm)
-            if abs(g[k + 1]) <= tol or breakdown:
+            converged = abs(g[k + 1]) <= tol
+            if converged or breakdown:
                 break
 
         m = len(r_cols)
@@ -103,6 +114,8 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
             r[:j + 1, j] = col
         y = solve_triangular(r, np.array(g[:m]), check_finite=False)
         x += y @ basis[:m]
+        if converged:
+            return x, 0
         residual = b - A(x)
         res_norm = math.sqrt(residual @ residual)
         if res_norm <= tol:

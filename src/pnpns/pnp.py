@@ -28,6 +28,23 @@ P y. P is chosen once per step from the previous state:
     hundreds of GMRES iterations per Newton there; the line solves need a
     few.
 
+The inexact Newton iteration asks GMRES for a relative linear residual
+eta_k. The first solve of a step takes eta_0 = NEWTON_GMRES_TOL. On the
+spectral path each later one takes the Eisenstat-Walker forcing term
+(choice 2, SIAM J. Sci. Comput. 17, 1996) with Kelley's guard against
+oversolving (Iterative Methods for Linear and Nonlinear Equations, 1995,
+sec. 6.3), clipped to [TOL^2, TOL]:
+
+    eta_k = min(TOL, max(0.9 (r_k / r_{k-1})^2, 0.5 threshold / r_k, TOL^2))
+
+so a step whose Newton model is accurate aims its last linear solve at the
+Newton threshold and ends one iteration earlier. The line path keeps
+eta = TOL throughout: on near-vacuum states the quadratic model is wrong,
+and a tighter linear solve there costs GMRES iterations without buying the
+predicted Newton reduction (first two-blob step at N = 64: 3 -> 7 GMRES at
+the second Newton iteration, whose eta asked for a residual of 1.7e-10 and
+got 1.1e-7; 14 Krylov products for the step instead of 10).
+
 The underlying minimization problem is strictly convex; its objective is
 evaluated separately (Step1System.objective) as an optimality certificate;
 the line search does not use it.
@@ -62,7 +79,9 @@ from .state import PhysParams, SchemeConfig, SimState
 SPECIES = ("p", "n")
 VALENCE = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
-#: inner tolerance of the linearized Newton solves (inexact Newton)
+#: inner tolerance of the linearized Newton solves (inexact Newton): the
+#: first solve of a step, every solve on the line path, and the upper clip of
+#: the forcing term on the spectral path
 NEWTON_GMRES_TOL = 1e-4
 #: large restart: short restarts stagnate on the sharp-interface Jacobians
 NEWTON_GMRES_RESTART = 300
@@ -97,7 +116,9 @@ class Step1Result:
 
     krylov_iters and krylov_iters_max are the sum and the largest, over the
     Newton iterations, of the Krylov products J P each GMRES solve applied:
-    one per GMRES iteration plus one true-residual check per restart cycle.
+    one per GMRES iteration, plus one explicit residual per restart cycle
+    that ends unconverged (none for a solve that converges in its first
+    cycle).
     j_initial/j_final hold the convex objective at the initial guess and at
     the solution when functional tracking is enabled, NaN otherwise.
     """
@@ -419,7 +440,8 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     Converges when the stacked residual norm drops below
     newton_tol * (1 + ||(p_old, n_old)||). The Newton update is projected to
     zero mean so both masses are conserved to roundoff by construction; the
-    fraction-to-boundary rule keeps all iterates strictly positive.
+    fraction-to-boundary rule keeps all iterates strictly positive. The
+    inner GMRES tolerance follows the forcing rule of the module docstring.
     """
     src = None
     if sources is not None:
@@ -433,6 +455,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     threshold = cfg.newton_tol * (1.0 + system.norm(system.c_prev))
     iters = 0
     products = []  # Krylov products per Newton iteration
+    eta = NEWTON_GMRES_TOL
 
     while res > threshold:
         if iters >= cfg.newton_max_iter:
@@ -440,7 +463,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         rhs = -r.ravel()
         # right preconditioning: GMRES solves J P y = rhs, the update is z = P y
         jp = _Counted(partial(system.preconditioned_action, c))
-        z, info = gmres(jp, rhs, rtol=NEWTON_GMRES_TOL, atol=0.0,
+        z, info = gmres(jp, rhs, rtol=eta, atol=0.0,
                         restart=NEWTON_GMRES_RESTART,
                         maxiter=NEWTON_GMRES_MAX_CYCLES)
         products.append(jp.calls)
@@ -464,8 +487,10 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
                 lin_res = (np.linalg.norm(system.jacobian_action(c, z) - rhs)
                            / np.linalg.norm(rhs))
                 message += (f" after an unconverged inner GMRES solve ({info} iterations,"
-                            f" relative residual {lin_res:.3e} > {NEWTON_GMRES_TOL:g})")
+                            f" relative residual {lin_res:.3e} > {eta:g})")
             raise NoConvergenceError(message, iters, res)
+        if not system.line_path:
+            eta = _forcing_term(t_res, res, threshold)
         c, r, res, psi, mu = trial, t_r, t_res, t_psi, t_mu
         iters += 1
 
@@ -492,6 +517,12 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         j_initial=j_initial,
         j_final=j_final,
     )
+
+
+def _forcing_term(res: float, res_prev: float, threshold: float) -> float:
+    """Inner GMRES tolerance at Newton residual res after res_prev (module docstring)."""
+    return min(NEWTON_GMRES_TOL, max(0.9 * (res / res_prev) ** 2, 0.5 * threshold / res,
+                                     NEWTON_GMRES_TOL ** 2))
 
 
 class _Counted:

@@ -52,12 +52,12 @@ def blob_step(n_modes):
 
 
 def counting_gmres(monkeypatch):
-    """Per GMRES solve in the ion step: [iterations, Krylov products, info]."""
+    """Per GMRES solve in the ion step: [iterations, Krylov products, info, rtol, b]."""
     solves = []
     solve = pnp.gmres
 
     def counting(A, b, **kwargs):
-        record = [0, 0, None]
+        record = [0, 0, None, kwargs["rtol"], b.copy()]
         solves.append(record)
 
         def product(v):
@@ -307,9 +307,29 @@ class TestGmres:
         y, info = pnp.gmres(counted, b, rtol=rtol, restart=300, maxiter=1,
                             callback=estimates.append, callback_type="pr_norm")
         assert info == 0
-        # one product per inner iteration plus the true-residual check
-        assert len(estimates) == matvecs - 1 > 1
+        # one product per inner iteration: a converged cycle returns on its estimate
+        assert len(estimates) == matvecs > 1
         assert estimates[-1] <= rtol
+        assert np.linalg.norm(b - dense @ pre(y)) <= rtol * np.linalg.norm(b)
+
+    def test_restart_forms_one_explicit_residual(self, jacobian, rng):
+        op, pre, dense = jacobian
+        b = rng.standard_normal(dense.shape[0])
+        matvecs = 0
+
+        def counted(z):
+            nonlocal matvecs
+            matvecs += 1
+            return op(z)
+
+        estimates = []
+        rtol, restart = 1e-8, 8  # a single cycle needs 11 iterations here
+        y, info = pnp.gmres(counted, b, rtol=rtol, restart=restart, maxiter=2,
+                            callback=estimates.append)
+        assert info == 0
+        assert len(estimates) > restart
+        # the first cycle restarts from the explicit residual, the second returns on its estimate
+        assert matvecs == len(estimates) + 1
         assert np.linalg.norm(b - dense @ pre(y)) <= rtol * np.linalg.norm(b)
 
     def test_identity_happy_breakdown(self, rng):
@@ -535,8 +555,29 @@ class TestSolveStep1:
         monkeypatch.setattr(pnp, "gmres", lambda A, b, **kwargs: (np.zeros_like(b), 1))
         with pytest.raises(NoConvergenceError,
                            match=r"line search stalled after an unconverged inner GMRES "
-                                 r"solve \(1 iterations, relative residual 1\.000e\+00"):
+                                 r"solve \(1 iterations, relative residual 1\.000e\+00 "
+                                 r"> 0\.0001\)"):
             solve_step1(state, PhysParams(), cfg.dt, cfg)
+
+    def test_stall_names_the_tolerance_of_the_failed_solve(self, grid8, rng, monkeypatch):
+        """A stall after an aimed solve prints that solve's tolerance, not the fixed one."""
+        state = admissible_state(grid8, rng)
+        cfg = SchemeConfig(n_modes=8, dt=0.02, t_final=0.02)
+        rtols = []
+        solve = pnp.gmres
+
+        def second_fails(A, b, **kwargs):
+            rtols.append(kwargs["rtol"])
+            if len(rtols) == 2:
+                return np.zeros_like(b), 1
+            return solve(A, b, **kwargs)
+
+        monkeypatch.setattr(pnp, "gmres", second_fails)
+        with pytest.raises(NoConvergenceError) as failure:
+            solve_step1(state, PhysParams(), cfg.dt, cfg)
+        assert len(rtols) == 2
+        assert rtols[1] < pnp.NEWTON_GMRES_TOL
+        assert f"relative residual 1.000e+00 > {rtols[1]:g})" in str(failure.value)
 
     def test_rejects_degenerate_previous_state(self, grid8, rng):
         state = admissible_state(grid8, rng)
@@ -576,14 +617,52 @@ class TestSolveStep1:
         assert result.n_new.values.min() > 0
         assert abs(mass(result.p_new) - mass(state.p)) <= 1e-11 * mass(state.p)
         assert abs(mass(result.n_new) - mass(state.n)) <= 1e-11 * mass(state.n)
-        inner_iters = [iters for iters, _, _ in solves]
+        inner_iters = [iters for iters, *_ in solves]
         # Krylov-work guard: 2 + 3 + 5 = 10 inner iterations when written
         assert len(inner_iters) == result.newton_iters == 3
         assert sum(inner_iters) <= 1.25 * 10
-        # the step reports the products: one more per solve for the residual check
-        assert result.krylov_iters == sum(products for _, products, _ in solves)
-        assert result.krylov_iters == sum(inner_iters) + 3
-        assert result.krylov_iters_max == max(inner_iters) + 1
+        # the step reports the products: one per inner iteration, no residual check
+        assert result.krylov_iters == sum(products for _, products, *_ in solves)
+        assert result.krylov_iters == sum(inner_iters)
+        assert result.krylov_iters_max == max(inner_iters)
+        # the line path keeps the fixed inner tolerance
+        assert all(rtol == pnp.NEWTON_GMRES_TOL for *_, rtol, _ in solves)
+
+    @staticmethod
+    def first_mms_step(monkeypatch, dt):
+        """The GMRES solves, result and Newton threshold of the first MMS ion step at N=32."""
+        from pnpns import mms
+        solves = counting_gmres(monkeypatch)
+        params = PhysParams()
+        case = mms.make_case(params)
+        cfg = SchemeConfig(n_modes=32, dt=dt, t_final=10 * dt)
+        state = case.initial_state(cfg)
+        result = solve_step1(state, params, dt, cfg, sources=case.ion_sources(dt, state.grid))
+        system = Step1System(state, params, dt)
+        threshold = cfg.newton_tol * (1.0 + system.norm(system.c_prev))
+        return solves, result, system, threshold
+
+    def test_mms_step_aims_its_last_solve_at_the_threshold(self, monkeypatch):
+        """A smooth step ends after 2 Newton iterations, where a fixed tolerance takes 3."""
+        solves, result, _, threshold = self.first_mms_step(monkeypatch, 1e-2)
+        assert result.newton_iters == len(solves) == 2
+        assert result.final_residual <= threshold
+        # Krylov-work guard: 4 + 13 = 17 products when written (27 with a fixed tolerance)
+        assert result.krylov_iters <= 1.25 * 17
+
+    @pytest.mark.parametrize("dt", [4e-2, 1e-2])
+    def test_forcing_term_follows_the_residual_history(self, monkeypatch, dt):
+        solves, _, system, threshold = self.first_mms_step(monkeypatch, dt)
+        tol = pnp.NEWTON_GMRES_TOL
+        rtols = [rtol for *_, rtol, _ in solves]
+        # each solve's right-hand side is minus the Newton residual it starts from
+        residuals = [system.norm(b.reshape(system.c_prev.shape)) for *_, b in solves]
+        assert rtols[0] == tol
+        assert all(tol**2 <= rtol <= tol for rtol in rtols[1:])
+        assert min(rtols[1:]) < tol
+        for rtol, res, res_prev in zip(rtols[1:], residuals[1:], residuals):
+            expected = min(tol, max(0.9 * (res / res_prev) ** 2, 0.5 * threshold / res, tol**2))
+            assert rtol == pytest.approx(expected, rel=1e-12)
 
     def test_fine_blob_step_stays_in_one_restart_cycle(self, monkeypatch):
         """The N=128 two-blob step, whose GMRES solves used to restart."""
@@ -593,10 +672,10 @@ class TestSolveStep1:
         assert result.p_new.values.min() > 0
         assert result.n_new.values.min() > 0
         assert len(solves) == result.newton_iters
-        for iters, products, info in solves:
-            # one cycle: every product but the last (the true-residual check) is an iteration
+        for iters, products, info, *_ in solves:
+            # one cycle that returns on its estimate: every product is an iteration
             assert info == 0
-            assert products == iters + 1 <= pnp.NEWTON_GMRES_RESTART + 1
+            assert products == iters <= pnp.NEWTON_GMRES_RESTART
 
     @pytest.mark.xfail(raises=NoConvergenceError, strict=True, reason=(
         "on the coarse N=20 grid the Newton iterates of the two-blob step drive "
