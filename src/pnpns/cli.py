@@ -140,11 +140,8 @@ def cmd_convergence(config_path: str) -> int:
             raise PnpnsError("convergence runs require the mms preset")
         variant = config.initial.get("variant", mms.DIVERGENCE_FREE)
         workers = mms.default_thread_count()
-        rows = mms.convergence_study(
-            config.dt_list, config.scheme.n_modes, config.scheme.t_final,
-            config.params, variant, newton_tol=config.scheme.newton_tol,
-            max_workers=workers,
-        )
+        rows = mms.convergence_study(config.dt_list, config.scheme, config.params,
+                                     variant, max_workers=workers)
     except NoConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

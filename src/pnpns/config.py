@@ -36,7 +36,6 @@ _SOLVER_SCHEMA = {
         "newton_max_iter": {"type": "integer", "minimum": 1},
         "krylov_tol": _NUMBER_POS,
         "krylov_max_iter": {"type": "integer", "minimum": 1},
-        "dealias": {"type": "boolean"},
         "track_functional": {"type": "boolean"},
     },
 }

@@ -1,4 +1,8 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver.
+
+Each one survives a pickle round trip with its type, message and
+attributes, so a failure in a worker process reaches the caller intact.
+"""
 
 
 class PnpnsError(Exception):
@@ -25,8 +29,8 @@ class MassMismatchError(PnpnsError):
     """Candidate fields do not carry the required total mass."""
 
 
-class NetChargeError(PnpnsError):
-    """Initial data carries a non-negligible net charge."""
+class NetChargeError(NonZeroMeanError):
+    """The ions carry a net charge, so the potential equation has no solution."""
 
 
 class NoConvergenceError(PnpnsError):
@@ -42,6 +46,10 @@ class NoConvergenceError(PnpnsError):
         self.bare_message = message
         self.iterations = iterations
         self.residual = residual
+
+    def __reduce__(self):
+        # args holds only the formatted message; rebuild from the parts instead
+        return type(self), (self.bare_message, self.iterations, self.residual), self.__dict__
 
 
 class ConfigError(PnpnsError):

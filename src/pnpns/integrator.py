@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    NetChargeError,
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
@@ -62,16 +61,14 @@ def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
     Accepts arrays, ScalarFields or callables f(x, y) for the concentrations,
     and a VectorField / pair of arrays / pair of callables (or None for rest)
     for the velocity. The velocity is projected onto the divergence-free
-    space; psi is derived; phi defaults to zero.
+    space; psi is derived, which rejects a net charge (NetChargeError); phi
+    defaults to zero.
     """
     grid = make_grid(cfg.n_modes)
     p = _as_scalar_field(p_in, grid)
     n = _as_scalar_field(n_in, grid)
     if p.values.min() <= 0.0 or n.values.min() <= 0.0:
         raise NonPositiveConcentrationError("initial concentrations must be positive")
-    net = abs(mass(p) - mass(n))
-    if net > 1e-8 * mass(p):
-        raise NetChargeError(f"initial net charge {net:.3e} exceeds tolerance")
 
     if u_in is None:
         u = VectorField.zero(grid)
@@ -118,8 +115,7 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
 
     try:
         step1 = solve_step1(state, params, dt, cfg, sources=ion_src)
-        forcing = ion_forcing(state.p, state.n, step1.mu_new, step1.nu_new,
-                              params.kappa, cfg.dealias)
+        forcing = ion_forcing(state.p, state.n, step1.mu_new, step1.nu_new, params.kappa)
         vel = velocity_step(state.u, state.phi, forcing, momentum_src,
                             params, dt, cfg)
     except NoConvergenceError as exc:

@@ -2,7 +2,7 @@
 
 Solves A x = b for a matrix-free operator; the residual the Hessenberg
 problem minimizes is b - A x, and the stopping test bounds it directly:
-||b - A x|| <= max(rtol ||b||, atol), the test inexact Newton uses. A caller
+||b - A x|| <= rtol ||b||, the relative test inexact Newton uses. A caller
 that preconditions on the right passes the product A M as the operator and
 maps the solution back itself, x = M y: the residual is then still the one
 of the original system, and the caller can fuse the two maps into one.
@@ -36,7 +36,7 @@ Operator = Callable[[np.ndarray], np.ndarray]
 _EPS = np.finfo(float).eps
 
 
-def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
+def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
           restart: int = 20, maxiter: int = 1,
           callback: Callable[[float], None] | None = None,
           callback_type: str | None = None) -> tuple[np.ndarray, int]:
@@ -59,7 +59,7 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0,
     x = np.zeros(size)
     if b_norm == 0.0:
         return x, 0
-    tol = max(rtol * b_norm, atol)
+    tol = rtol * b_norm
     restart = min(restart, size)
     # rows are only touched as the basis grows, so memory follows the iterations
     basis = np.empty((restart + 1, size))

@@ -26,6 +26,7 @@ and must be cross-validated against an independent finite-difference oracle
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -214,13 +215,14 @@ def _worker(args):
     return _errors_for_cfg(*args)
 
 
-def convergence_study(dt_list, n_modes: int, t_final: float, params: PhysParams,
+def convergence_study(dt_list, cfg: SchemeConfig, params: PhysParams,
                       variant: str = DIVERGENCE_FREE,
-                      newton_tol: float = 1e-10,
                       max_workers: int | None = None) -> list[ConvergenceRow]:
     """Run the scheme for each dt and report errors with observed orders.
 
-    dt_list must be strictly decreasing and each dt must divide t_final.
+    Each run is cfg with its dt replaced and no snapshots: the grid, final
+    time and solver options carry over. dt_list must be strictly decreasing
+    and each dt must divide cfg.t_final.
     With max_workers > 1 the per-dt runs execute in separate processes
     (they share nothing); results are ordered by dt regardless.
     """
@@ -230,12 +232,11 @@ def convergence_study(dt_list, n_modes: int, t_final: float, params: PhysParams,
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ConfigError("dt_list must be strictly decreasing")
     try:
-        cfgs = [SchemeConfig(n_modes=n_modes, dt=dt, t_final=t_final,
-                             newton_tol=newton_tol) for dt in dts]
+        jobs = [(dataclasses.replace(cfg, dt=dt, snapshot_times=()), params, variant)
+                for dt in dts]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    jobs = [(cfg, params, variant) for cfg in cfgs]
     if max_workers is not None and max_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
             errors = list(pool.map(_worker, jobs))

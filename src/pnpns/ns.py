@@ -43,8 +43,7 @@ class VelocityResult:
 
 
 def ion_forcing(p_m: ScalarField, n_m: ScalarField, mu_new: ScalarField,
-                nu_new: ScalarField, kappa: float,
-                dealias: bool = False) -> VectorField:
+                nu_new: ScalarField, kappa: float) -> VectorField:
     """Electric body force -kappa (p grad mu + n grad nu) on the fluid.
 
     Uses the previous concentrations against the freshly solved chemical
@@ -54,35 +53,30 @@ def ion_forcing(p_m: ScalarField, n_m: ScalarField, mu_new: ScalarField,
     grid = _require_same_grid(p_m, n_m, mu_new, nu_new)
     mx, my = grid.grad(mu_new.values)
     nx, ny = grid.grad(nu_new.values)
-    fx = -kappa * (grid.multiply(p_m.values, mx, dealias)
-                   + grid.multiply(n_m.values, nx, dealias))
-    fy = -kappa * (grid.multiply(p_m.values, my, dealias)
-                   + grid.multiply(n_m.values, ny, dealias))
+    fx = -kappa * (p_m.values * mx + n_m.values * nx)
+    fy = -kappa * (p_m.values * my + n_m.values * ny)
     return VectorField.from_arrays(grid, fx, fy)
 
 
 def advect_diffuse_product(grid: Grid, ux: np.ndarray, uy: np.ndarray,
-                           symbol: np.ndarray, v: np.ndarray,
-                           dealias: bool = False) -> np.ndarray:
+                           symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(1/dt + u.grad - nu lap) S v, with S = (1/dt - nu lap)^{-1} of spectral symbol `symbol`.
 
     Since (1/dt - nu lap) S = I the product is v + u.grad(S v): one forward
     and two inverse transforms, and S v itself is never formed.
     """
-    return v + _convection(grid, ux, uy, symbol * grid.rfft(v), dealias)
+    return v + _convection(grid, ux, uy, symbol * grid.rfft(v))
 
 
-def _convection(grid: Grid, ux: np.ndarray, uy: np.ndarray, spec: np.ndarray,
-                dealias: bool) -> np.ndarray:
+def _convection(grid: Grid, ux: np.ndarray, uy: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """u.grad f for the field f whose half spectrum is spec."""
     gx, gy = grid.grad_spectrum(spec)
-    return grid.multiply(ux, gx, dealias) + grid.multiply(uy, gy, dealias)
+    return ux * gx + uy * gy
 
 
 def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
                           rhs: np.ndarray, viscosity: float, dt: float,
-                          tol: float, max_iter: int,
-                          dealias: bool) -> tuple[np.ndarray, int, float]:
+                          tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
     """Solve (1/dt + u.grad - nu lap) w = rhs for one scalar component.
 
     Matrix-free BiCGStab, right-preconditioned with the constant-coefficient
@@ -102,15 +96,14 @@ def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     def matvec(vec: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        return advect_diffuse_product(grid, ux, uy, symbol, vec.reshape(shape),
-                                      dealias).ravel()
+        return advect_diffuse_product(grid, ux, uy, symbol, vec.reshape(shape)).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
     y, info = bicgstab(op, rhs.ravel(), rtol=tol, atol=0.0, maxiter=max_iter)
     y = y.reshape(shape)
     # w = S y, and A w - rhs = y + u.grad(w) - rhs: both from one spectrum
     spec = symbol * grid.rfft(y)
-    residual = grid.norm(y + _convection(grid, ux, uy, spec, dealias) - rhs) / rhs_norm
+    residual = grid.norm(y + _convection(grid, ux, uy, spec) - rhs) / rhs_norm
     if info != 0:
         raise NoConvergenceError("velocity solve stalled", applications, residual)
     return grid.irfft(spec), applications, residual
@@ -135,11 +128,9 @@ def solve_velocity(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
     ux = u_m.x_comp.values
     uy = u_m.y_comp.values
     wx, it_x, res_x = _advect_diffuse_solve(grid, ux, uy, rhs_x, params.viscosity,
-                                            dt, cfg.krylov_tol, cfg.krylov_max_iter,
-                                            cfg.dealias)
+                                            dt, cfg.krylov_tol, cfg.krylov_max_iter)
     wy, it_y, res_y = _advect_diffuse_solve(grid, ux, uy, rhs_y, params.viscosity,
-                                            dt, cfg.krylov_tol, cfg.krylov_max_iter,
-                                            cfg.dealias)
+                                            dt, cfg.krylov_tol, cfg.krylov_max_iter)
     return VectorField.from_arrays(grid, wx, wy), it_x + it_y, max(res_x, res_y)
 
 

@@ -68,8 +68,10 @@ from scipy.linalg.lapack import dpotrf as potrf, dpotri as potri
 
 from .errors import (
     MassMismatchError,
+    NetChargeError,
     NoConvergenceError,
     NonPositiveConcentrationError,
+    NonZeroMeanError,
 )
 from .krylov import gmres
 from .spectral import Grid, ScalarField
@@ -137,7 +139,11 @@ class Step1Result:
 
 
 def compute_psi(p: ScalarField, n: ScalarField, epsilon: float) -> ScalarField:
-    """Electric potential from the charge density: -eps lap psi = p - n."""
+    """Electric potential from the charge density: -eps lap psi = p - n.
+
+    Solvable only for a neutral state: a net charge above 1e-10 of the ion
+    masses raises NetChargeError.
+    """
     return ScalarField(p.grid, _psi(p.grid, p.values, n.values, epsilon))
 
 
@@ -145,7 +151,12 @@ def _psi(grid: Grid, p: np.ndarray, n: np.ndarray, epsilon: float) -> np.ndarray
     # the charge's mean carries the roundoff of p and n, not of p - n, so it
     # is judged against the ion masses: a near-neutral state passes
     masses = grid.integral(np.abs(p)) + grid.integral(np.abs(n))
-    return grid.inv_laplacian_zero_mean((p - n) / epsilon, scale=masses / epsilon)
+    try:
+        return grid.inv_laplacian_zero_mean((p - n) / epsilon, scale=masses / epsilon)
+    except NonZeroMeanError:
+        net = grid.integral(p) - grid.integral(n)
+        raise NetChargeError(f"net charge {net:.3e} exceeds 1e-10 of the ion masses "
+                             f"{masses:.3e}") from None
 
 
 def mobility(values: np.ndarray, dt: float, kappa: float, diffusion: float) -> np.ndarray:
@@ -253,13 +264,11 @@ class Step1System:
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
-                 dealias: bool = False,
                  sources: tuple[np.ndarray, np.ndarray] | None = None):
         grid = prev.grid
         self.grid = grid
         self.params = params
         self.dt = dt
-        self.dealias = dealias
         self.c_prev = np.stack((prev.p.values, prev.n.values))
         if self.c_prev.min() < MIN_CONCENTRATION:
             raise NonPositiveConcentrationError(
@@ -267,9 +276,7 @@ class Step1System:
             )
         ux = prev.u.x_comp.values
         uy = prev.u.y_comp.values
-        self.conv = np.stack([grid.div(grid.multiply(c, ux, dealias),
-                                       grid.multiply(c, uy, dealias))
-                              for c in self.c_prev])
+        self.conv = np.stack([grid.div(c * ux, c * uy) for c in self.c_prev])
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
         self.source = None if sources is None else np.stack(sources)
 
@@ -315,8 +322,7 @@ class Step1System:
         grid = self.grid
         out = np.empty_like(self.c_prev)
         for i, (m, (gx, gy)) in enumerate(zip(self.m, gradients)):
-            out[i] = grid.div(grid.multiply(m, gx, self.dealias),
-                              grid.multiply(m, gy, self.dealias))
+            out[i] = grid.div(m * gx, m * gy)
         return out
 
     # -- Jacobian action at the iterate c ----------------------------------
@@ -377,7 +383,7 @@ class Step1System:
         return math.sqrt(self.grid.inner(r[0], r[0]) + self.grid.inner(r[1], r[1]))
 
     # -- convex objective -----------------------------------------------------
-    def objective(self, c: np.ndarray, lm_tol: float = 1e-12) -> float:
+    def objective(self, c: np.ndarray) -> float:
         """Convex objective whose minimizer over the mass shell is the step solution.
 
         Quadratic transport-metric terms in the inverse weighted-Laplacian
@@ -408,11 +414,11 @@ class Step1System:
             diff = cand - ref
             diff = diff - diff.mean()  # strip quadrature-level roundoff
             if grid.norm(diff) > 0.0:
-                inv_diff = grid.solve_weighted_laplacian(m, diff, tol=lm_tol)
+                inv_diff = grid.solve_weighted_laplacian(m, diff)
                 total += grid.inner(diff, inv_diff) / (2.0 * d * self.dt)
         for cand, conv, m in zip(c, self.conv, self.m):
             if grid.norm(conv) > 0.0:
-                inv_conv = grid.solve_weighted_laplacian(m, conv, tol=lm_tol)
+                inv_conv = grid.solve_weighted_laplacian(m, conv)
                 total += grid.inner(inv_conv, cand) / d
         for cand in c:
             total += grid.integral(cand * (np.log(cand) - 1.0))
@@ -426,11 +432,9 @@ class Step1System:
 
 
 def functional_value(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
-                     params: PhysParams, dt: float,
-                     lm_tol: float = 1e-12) -> float:
+                     params: PhysParams, dt: float) -> float:
     """The step's convex objective (Step1System.objective) at (cand_p, cand_n)."""
-    return Step1System(prev, params, dt).objective(
-        np.stack((cand_p.values, cand_n.values)), lm_tol)
+    return Step1System(prev, params, dt).objective(np.stack((cand_p.values, cand_n.values)))
 
 
 def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig,
@@ -446,7 +450,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     src = None
     if sources is not None:
         src = (sources[0].values, sources[1].values)
-    system = Step1System(prev, params, dt, cfg.dealias, src)
+    system = Step1System(prev, params, dt, src)
     grid = prev.grid
 
     c = system.c_prev.copy()
@@ -463,8 +467,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         rhs = -r.ravel()
         # right preconditioning: GMRES solves J P y = rhs, the update is z = P y
         jp = _Counted(partial(system.preconditioned_action, c))
-        z, info = gmres(jp, rhs, rtol=eta, atol=0.0,
-                        restart=NEWTON_GMRES_RESTART,
+        z, info = gmres(jp, rhs, rtol=eta, restart=NEWTON_GMRES_RESTART,
                         maxiter=NEWTON_GMRES_MAX_CYCLES)
         products.append(jp.calls)
         z = system.preconditioner(z)

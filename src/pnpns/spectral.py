@@ -4,8 +4,7 @@ Fields are sampled on the uniform N x N grid x_i = 2*pi*i/N, y_j = 2*pi*j/N
 (row index i runs over x, column index j over y). Derivatives are exact in
 the trigonometric-interpolant sense: multiply mode (k, l) by ik, il or
 -(k^2 + l^2). Nonlinear terms are formed by pointwise multiplication on the
-collocation grid; an optional 3/2-padded product is available for callers
-that want alias-free quadratic products.
+collocation grid, the products the scheme's guarantees are proved for.
 
 Conventions fixed here and relied on everywhere else:
   * quadrature weight (2*pi/N)^2 at every point, so the discrete inner
@@ -242,43 +241,6 @@ class Grid:
             res = self.norm(matvec(sol).reshape(shape) - f_values) / rhs_norm
             raise NoConvergenceError("weighted Poisson solve stalled", iters, res)
         return g - g.mean()
-
-    # -- products ------------------------------------------------------------------
-    def multiply(self, a: np.ndarray, b: np.ndarray, dealias: bool = False) -> np.ndarray:
-        """Pointwise product; with dealias=True use 3/2-rule zero padding."""
-        if not dealias:
-            return a * b
-        return self._dealiased_product(a, b)
-
-    def _dealiased_product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = self.n_modes
-        m = 3 * n // 2
-        m += m % 2
-        pa = self._pad_spectrum(a, m)
-        pb = self._pad_spectrum(b, m)
-        scale = (m / n) ** 2
-        prod = scipy.fft.irfft2(pa, s=(m, m)) * scipy.fft.irfft2(pb, s=(m, m)) * scale**2
-        spec = scipy.fft.rfft2(prod)
-        return self._truncate_spectrum(spec, m) / scale
-
-    def _pad_spectrum(self, values: np.ndarray, m: int) -> np.ndarray:
-        # Nyquist modes are dropped: they are unreliable on the coarse grid
-        # and their ghost energy would break the real-field symmetry.
-        n = self.n_modes
-        spec = scipy.fft.rfft2(values)
-        out = np.zeros((m, m // 2 + 1), dtype=complex)
-        half = n // 2
-        out[:half, : half] = spec[:half, :half]
-        out[m - half + 1:, : half] = spec[half + 1:, :half]
-        return out
-
-    def _truncate_spectrum(self, spec: np.ndarray, m: int) -> np.ndarray:
-        n = self.n_modes
-        half = n // 2
-        out = np.zeros((n, n // 2 + 1), dtype=complex)
-        out[:half, :half] = spec[:half, :half]
-        out[half + 1:, :half] = spec[m - half + 1:, :half]
-        return scipy.fft.irfft2(out, s=(n, n))
 
     # -- sampling helper ---------------------------------------------------------------
     def sample(self, fn) -> np.ndarray:

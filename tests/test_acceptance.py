@@ -44,9 +44,8 @@ def _report(criterion: str, detail: str = ""):
 @pytest.fixture(scope="module")
 def convergence_rows():
     started = time.perf_counter()
-    rows = mms.convergence_study(TABLE1_DT, n_modes=64, t_final=0.5,
-                                 params=PhysParams(),
-                                 variant=mms.DIVERGENCE_FREE)
+    cfg = SchemeConfig(n_modes=64, dt=TABLE1_DT[0], t_final=0.5)
+    rows = mms.convergence_study(TABLE1_DT, cfg, PhysParams(), variant=mms.DIVERGENCE_FREE)
     elapsed = time.perf_counter() - started
     return rows, elapsed
 

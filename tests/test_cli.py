@@ -95,6 +95,10 @@ class TestConfig:
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(cfg_path)
+        # the key of a removed option (the 3/2-rule product) is unknown too
+        cfg_path = write_config(tmp_path / "run.json", solver={"dealias": False})
+        with pytest.raises(ConfigError):
+            load_config(cfg_path)
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.json", extra={"a": 1})
@@ -342,6 +346,25 @@ class TestCommands:
         assert first_row[5] == ""  # no order on the first row
         second_row = csv_lines[2].split(",")
         assert float(second_row[5]) == pytest.approx(1.0, abs=0.5)
+
+    def test_convergence_honours_solver_options(self, tmp_path, capsys):
+        # every solver option reaches the study's runs, not only newton_tol
+        cfg_path = write_config(
+            tmp_path / "conv.json", grid={"n_modes": 8}, solver={"newton_max_iter": 1},
+            initial={"preset": "mms"},
+            time={"dt_list": [0.02, 0.01], "t_final": 0.02})
+        assert main(["convergence", str(cfg_path)]) == 2
+        assert "solver failure" in capsys.readouterr().err
+
+    def test_convergence_worker_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the worker's NoConvergenceError must unpickle in the parent process
+        monkeypatch.setenv("PNPNS_THREADS", "2")
+        cfg_path = write_config(
+            tmp_path / "conv.json", grid={"n_modes": 8}, solver={"newton_tol": 1e-30},
+            initial={"preset": "mms"},
+            time={"dt_list": [0.02, 0.01], "t_final": 0.02})
+        assert main(["convergence", str(cfg_path)]) == 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_convergence_rejects_run_config(self, tmp_path):
         cfg_path = write_config(tmp_path / "conv.json",

@@ -259,17 +259,18 @@ class TestL2Error:
                                                       rel=1e-13)
 
 
+STUDY_CFG = SchemeConfig(n_modes=16, dt=0.02, t_final=0.06)
+
+
 class TestConvergenceStudy:
     def test_single_dt_row(self):
-        rows = mms.convergence_study([0.02], n_modes=16, t_final=0.06,
-                                     params=PhysParams())
+        rows = mms.convergence_study([0.02], STUDY_CFG, PhysParams())
         assert len(rows) == 1
         assert rows[0].order_p is None
         assert rows[0].err_p > 0
 
     def test_two_dts_give_one_order(self):
-        rows = mms.convergence_study([0.02, 0.01], n_modes=16, t_final=0.06,
-                                     params=PhysParams())
+        rows = mms.convergence_study([0.02, 0.01], STUDY_CFG, PhysParams())
         assert len(rows) == 2
         assert rows[0].order_p is None
         assert rows[1].order_p is not None
@@ -277,16 +278,15 @@ class TestConvergenceStudy:
 
     def test_rejects_non_divisible_dt(self):
         with pytest.raises(ConfigError):
-            mms.convergence_study([0.021], n_modes=16, t_final=0.05,
-                                  params=PhysParams())
+            mms.convergence_study([0.021], SchemeConfig(n_modes=16, dt=0.01, t_final=0.05),
+                                  PhysParams())
 
     def test_rejects_non_decreasing_list(self):
         with pytest.raises(ConfigError):
-            mms.convergence_study([0.01, 0.02], n_modes=16, t_final=0.06,
-                                  params=PhysParams())
+            mms.convergence_study([0.01, 0.02], STUDY_CFG, PhysParams())
 
     def test_parallel_matches_serial(self):
-        kwargs = dict(n_modes=16, t_final=0.06, params=PhysParams())
+        kwargs = dict(cfg=STUDY_CFG, params=PhysParams())
         serial = mms.convergence_study([0.02, 0.01], **kwargs)
         parallel = mms.convergence_study([0.02, 0.01], max_workers=2, **kwargs)
         for a, b in zip(serial, parallel):

@@ -92,7 +92,7 @@ def test_near_neutral_step_is_not_rejected():
     "the Newton threshold newton_tol * (1 + ||c_old||) is absolute, but the residual "
     "of a large kappa*dt step has a roundoff floor that scales with its initial "
     "size (3.2e4 here): the residual stagnates at 1.7e-9 against a threshold of "
-    "1.0e-9 and the line search stalls; 3 of the property's 200 draws end this way"))
+    "1.0e-9 and the line search stalls; 1 of the property's 200 draws ends this way"))
 def test_large_kappa_dt_step_reaches_newton_threshold():
     # one of the inputs the property above draws that ends in this error
     state, params, cfg = start(16, 1.0, 9278.61408869127, 0.01, 729)

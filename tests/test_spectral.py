@@ -252,25 +252,6 @@ class TestWeightedSolve:
         assert err.value.residual > 0
 
 
-class TestDealiasedProduct:
-    def test_matches_pointwise_for_resolved_product(self, grid16, rng):
-        a = band_limited(grid16, rng, kmax=3)
-        b = band_limited(grid16, rng, kmax=3)
-        plain = grid16.multiply(a, b)
-        padded = grid16.multiply(a, b, dealias=True)
-        assert np.abs(plain - padded).max() <= 1e-12
-
-    def test_removes_aliased_mode(self, grid8):
-        a = np.cos(3 * grid8.xx)
-        aliased = grid8.multiply(a, a)             # picks up a spurious cos(2x)
-        clean = grid8.multiply(a, a, dealias=True)  # true product truncated: 1/2
-        spec_aliased = np.fft.fft2(aliased) / 64
-        spec_clean = np.fft.fft2(clean) / 64
-        assert abs(spec_aliased[2, 0]) > 0.2
-        assert abs(spec_clean[2, 0]) <= 1e-13
-        assert spec_clean[0, 0] == pytest.approx(0.5, abs=1e-13)
-
-
 class TestProjection:
     def test_projected_field_is_divergence_free(self, grid, rng):
         vx = rng.standard_normal((grid.n_modes,) * 2)
