@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import mms
 from .config import build_initial_state, load_config
-from .errors import NoConvergenceError, PnpnsError
+from .errors import ConfigError, NoConvergenceError, PnpnsError
 from .integrator import run
 from .snapshot import atomic_write, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import StepDiagnostics, mass
@@ -103,6 +103,9 @@ def cmd_run(config_path: str) -> int:
             record = run(state, config.params, config.scheme, sources=forcing,
                          on_step=lambda diag: write_row(_diagnostics_row(diag)),
                          snapshot_writer=snapshot_writer)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except PnpnsError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 2

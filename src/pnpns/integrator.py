@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -160,11 +161,19 @@ def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
     snapshot time (no interpolation); the writer callback owns the file
     format. Per-step diagnostics stream through on_step and are collected in
     the returned record. Deterministic: identical inputs give identical
-    results.
+    results. Before the first step, an initial state whose time is not
+    step_index * dt (a restart with another dt) or a snapshot time after
+    the run's end raises ConfigError.
     """
     pending = sorted(cfg.snapshot_times)
     if pending and snapshot_writer is None:
         raise ConfigError("snapshot_times given but no snapshot writer supplied")
+    if not math.isclose(initial.time, initial.step_index * cfg.dt, rel_tol=1e-9, abs_tol=0.0):
+        raise ConfigError(f"initial state at t={initial.time:g} is not step "
+                          f"{initial.step_index} of dt={cfg.dt:g}; a restart keeps its dt")
+    t_end = (initial.step_index + cfg.n_steps) * cfg.dt
+    if pending and pending[-1] - 1e-12 > t_end:
+        raise ConfigError(f"snapshot time {pending[-1]:g} is after the run's end t={t_end:g}")
 
     record = RunRecord()
     state = initial

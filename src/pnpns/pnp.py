@@ -11,7 +11,10 @@ treatment unconditionally stable:
 
 The solve is Newton-Krylov on the collocation residual in c with psi
 eliminated, an Armijo backtracking line search on the residual norm, and a
-fraction-to-boundary rule that keeps every iterate strictly positive. GMRES
+fraction-to-boundary rule that keeps every iterate strictly positive. The
+residual and the Jacobian share one flux kernel, D div(M_i grad(f_i + z_i psi))
+with psi in spectral space (f = ln c, and f = dc/c for the Jacobian); psi and
+mu are formed in physical space once per step, at the solution. GMRES
 works on the Jacobian right-preconditioned by a per-species operator P,
 given as one product J P (Step1System.preconditioned_action); the update is
 P y. P is chosen once per step from the previous state:
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -257,10 +259,10 @@ class LinePreconditioner:
 class Step1System:
     """Per-step residual/Jacobian machinery on stacked (p, n) arrays.
 
-    Everything that depends only on the previous state is computed once:
-    explicit convection divergences, augmented mobilities and the
-    preconditioner, the spectral symbols or, on the line path, the line
-    solves, built on the first Krylov product.
+    Both go through one flux kernel (_flux_div), P through one fork
+    (_precondition). Computed once from the previous state: convection
+    divergences, augmented mobilities, psi's symbol and the preconditioner
+    (the spectral symbols, or the line solves built on the first Krylov product).
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
@@ -278,6 +280,7 @@ class Step1System:
         uy = prev.u.y_comp.values
         self.conv = np.stack([grid.div(c * ux, c * uy) for c in self.c_prev])
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
+        self._inv_eps_k2 = grid._inv_k2 / params.epsilon
         self.source = None if sources is None else np.stack(sources)
 
         self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
@@ -297,40 +300,39 @@ class Step1System:
                 for ci, mi in zip(self.c_prev, self.m)]
 
     def potentials(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi from -eps lap psi = p - n, and the stacked mu_i = ln c_i + z_i psi."""
+        """psi from -eps lap psi = p - n, and the stacked mu_i = ln c_i + z_i psi.
+
+        The one place both are formed in physical space; a net charge raises NetChargeError.
+        """
         _require_positive(c)
         psi = _psi(self.grid, c[0], c[1], self.params.epsilon)
         return psi, np.log(c) + VALENCE * psi
 
-    # -- nonlinear residual -------------------------------------------------
-    def residual(self, c: np.ndarray) -> np.ndarray:
-        return self.residual_and_potentials(c)[0]
+    def _flux_div(self, f: np.ndarray, charge: np.ndarray) -> np.ndarray:
+        """D div(M_i grad(f_i + z_i psi)) per species, psi from the charge spectrum (overwritten).
 
-    def residual_and_potentials(
-            self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stacked residual at c, with the psi and mu it was formed from."""
-        d = self.params.diffusion
-        psi, mu = self.potentials(c)
-        flux_div = self._weighted_div(map(self.grid.grad, mu))
-        r = (c - self.c_prev) / self.dt + self.conv - d * flux_div
-        if self.source is not None:
-            r = r - self.source
-        return r, psi, mu
-
-    def _weighted_div(self, gradients: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """div(M_i grad f_i) for each species, from the gradients of the f_i in turn."""
+        The one kernel of the residual (f = ln c) and the Jacobian (f = dc/c);
+        psi stays spectral and drops its mean, so a net charge is not seen here.
+        """
         grid = self.grid
-        out = np.empty_like(self.c_prev)
-        for i, (m, (gx, gy)) in enumerate(zip(self.m, gradients)):
+        psi = charge
+        psi *= self._inv_eps_k2
+        out = np.empty_like(f)
+        for i, (fi, m, z) in enumerate(zip(f, self.m, VALENCE.flat)):
+            gx, gy = grid.grad_spectrum(grid.rfft(fi) + z * psi)
             out[i] = grid.div(m * gx, m * gy)
-        return out
+        return self.params.diffusion * out
 
-    # -- Jacobian action at the iterate c ----------------------------------
+    def residual(self, c: np.ndarray) -> np.ndarray:
+        """The stacked residual at c (13 transforms)."""
+        _require_positive(c)
+        r = ((c - self.c_prev) / self.dt + self.conv
+             - self._flux_div(np.log(c), self.grid.rfft(c[0] - c[1])))
+        return r if self.source is None else r - self.source
+
     def jacobian_action(self, c: np.ndarray, dc: np.ndarray) -> np.ndarray:
         """J(c) dc for a direction given as a (2, N, N) stack or its ravel; same shape back."""
-        direction = dc.reshape(c.shape)
-        charge = self.grid.rfft(direction[0] - direction[1])
-        return self._jacobian(c, direction, charge).reshape(dc.shape)
+        return self._jacobian(c, dc.reshape(c.shape)).reshape(dc.shape)
 
     def preconditioned_action(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
         """J(c) P v for P the preconditioner; same shape back.
@@ -338,45 +340,37 @@ class Step1System:
         The operator GMRES works on. On the spectral path P ends in the
         spectra of P v, which give the Jacobian its charge spectrum, so P v
         is transformed back once and never forward again: 16 transforms
-        where P followed by J takes 18. The line path applies P, then J.
+        where P followed by J takes 18. On the line path J transforms the
+        charge itself.
         """
-        if self.line_path:
-            return self.jacobian_action(c, self.preconditioner(v))
-        grid = self.grid
-        direction = np.empty_like(c)
-        charge = 0.0
-        for i, (pre, z, r) in enumerate(zip(self._pre, VALENCE.flat, v.reshape(c.shape))):
-            spec = pre * grid.rfft(r)
-            direction[i] = grid.irfft(spec)
-            charge = charge + z * spec  # spectrum of sum_i z_i (P v)_i
-        return self._jacobian(c, direction, charge).reshape(v.shape)
+        return self._jacobian(c, *self._precondition(v)).reshape(v.shape)
 
     def _jacobian(self, c: np.ndarray, direction: np.ndarray,
-                  charge: np.ndarray) -> np.ndarray:
-        """J(c) direction, given the spectrum of the direction's charge (overwritten).
+                  charge: np.ndarray | None = None) -> np.ndarray:
+        """J(c) direction, given the spectrum of the direction's charge (overwritten) if known."""
+        if charge is None:
+            charge = self.grid.rfft(direction[0] - direction[1])
+        return direction / self.dt - self._flux_div(direction / c, charge)
 
-        dmu_i = dc_i/c_i + z_i dpsi is formed in spectral space, so dpsi
-        never needs an inverse transform.
-        """
-        grid = self.grid
-        dpsi = charge
-        dpsi *= grid._inv_k2 / self.params.epsilon  # DC ignored: handled by dc/dt
-        grad_dmu = (grid.grad_spectrum(grid.rfft(d / ci) + z * dpsi)
-                    for d, ci, z in zip(direction, c, VALENCE.flat))
-        return direction / self.dt - self.params.diffusion * self._weighted_div(grad_dmu)
-
-    def preconditioner(self, z: np.ndarray) -> np.ndarray:
+    def preconditioner(self, v: np.ndarray) -> np.ndarray:
         """The preconditioner P per species on a (2, N, N) stack or its ravel."""
+        return self._precondition(v)[0].reshape(v.shape)
+
+    def _precondition(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """P v as a (2, N, N) stack, and the spectrum of its charge if P formed it (else None)."""
         out = np.empty_like(self.c_prev)
+        v = v.reshape(out.shape)
         if self.line_path:
-            for i, (line, ci, r) in enumerate(zip(self._lines, self.c_prev,
-                                                  z.reshape(out.shape))):
+            for i, (line, ci, r) in enumerate(zip(self._lines, self.c_prev, v)):
                 out[i] = ci * line.solve(r)  # dc = c_old w
-        else:
-            grid = self.grid
-            for i, (pre, r) in enumerate(zip(self._pre, z.reshape(out.shape))):
-                out[i] = grid.irfft(pre * grid.rfft(r))
-        return out.reshape(z.shape)
+            return out, None
+        grid = self.grid
+        charge = 0.0
+        for i, (pre, z, r) in enumerate(zip(self._pre, VALENCE.flat, v)):
+            spec = pre * grid.rfft(r)
+            out[i] = grid.irfft(spec)
+            charge = charge + z * spec  # spectrum of sum_i z_i (P v)_i
+        return out, charge
 
     def norm(self, r: np.ndarray) -> float:
         """Discrete L2 norm of a stacked pair, e.g. the residual (r_p, r_n)."""
@@ -454,7 +448,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
     grid = prev.grid
 
     c = system.c_prev.copy()
-    r, psi, mu = system.residual_and_potentials(c)
+    r = system.residual(c)
     res = system.norm(r)
     threshold = cfg.newton_tol * (1.0 + system.norm(system.c_prev))
     iters = 0
@@ -478,7 +472,7 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial = c + alpha * dc
-            t_r, t_psi, t_mu = system.residual_and_potentials(trial)
+            t_r = system.residual(trial)
             t_res = system.norm(t_r)
             if t_res <= (1.0 - ARMIJO_C1 * alpha) * res:
                 accepted = True
@@ -494,9 +488,11 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
             raise NoConvergenceError(message, iters, res)
         if not system.line_path:
             eta = _forcing_term(t_res, res, threshold)
-        c, r, res, psi, mu = trial, t_r, t_res, t_psi, t_mu
+        c, r, res = trial, t_r, t_res
         iters += 1
 
+    # updates are zero-mean per species: this also checks c_old's net charge
+    psi, mu = system.potentials(c)
     for new, old, name in zip(c, system.c_prev, SPECIES):
         drift = abs(grid.integral(new) - grid.integral(old))
         if drift > 1e-11 * abs(grid.integral(old)):

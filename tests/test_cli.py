@@ -402,6 +402,21 @@ class TestCommands:
             initial={"preset": "from_snapshot", "path": str(snap)})
         assert main(["run", str(cfg_path)]) == 0
 
+    def test_restart_with_another_dt_exits_1(self, tmp_path, capsys):
+        params = PhysParams()
+        cfg = SchemeConfig(n_modes=16, dt=0.02, t_final=0.1)
+        state = dataclasses.replace(mms.make_case(params).initial_state(cfg),
+                                    step_index=5, time=0.1)
+        snap = write_snapshot(state, params, tmp_path / "start.bin")
+        cfg_path = write_config(
+            tmp_path / "run.json",
+            time={"dt": 0.01, "t_final": 0.02},
+            initial={"preset": "from_snapshot", "path": str(snap)})
+        assert main(["run", str(cfg_path)]) == 1
+        assert "a restart keeps its dt" in capsys.readouterr().err
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == 1  # the header, no step
+
     def test_from_snapshot_wrong_grid(self, tmp_path, sample_state):
         state, params = sample_state
         snap = write_snapshot(state, params, tmp_path / "start.bin")

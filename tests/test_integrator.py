@@ -1,5 +1,7 @@
 """Initialization, single steps, full runs, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,33 @@ class TestRun:
         # first step whose time reaches the requested times 0.08 -> 0.10, 0.2 -> 0.20
         assert taken == [pytest.approx(0.10), pytest.approx(0.20)]
         assert [t for t, _ in record.snapshots] == [0.08, 0.2]
+
+    def test_snapshot_time_after_end_rejected(self, tmp_path):
+        params = PhysParams()
+        cfg = SchemeConfig(n_modes=16, dt=0.05, t_final=0.1, snapshot_times=(0.05, 0.5))
+        state = initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
+                           None, params, cfg)
+        taken = []
+
+        def writer(s):
+            taken.append(s.time)
+            return tmp_path / "snap.bin"
+
+        with pytest.raises(ConfigError, match="snapshot time 0.5"):
+            run(state, params, cfg, snapshot_writer=writer)
+        assert taken == []
+
+    def test_restart_keeps_dt(self):
+        # a state written after 5 steps of dt = 0.02 continues at 0.12 with that
+        # dt; with dt = 0.01 its next step would be stamped t = 0.06
+        params = PhysParams()
+        cfg = uniform_cfg(dt=0.02, steps=1)
+        state = initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
+                           None, params, cfg)
+        restart = dataclasses.replace(state, step_index=5, time=0.1)
+        assert run(restart, params, cfg).final_state.time == pytest.approx(0.12)
+        with pytest.raises(ConfigError, match="dt=0.01"):
+            run(restart, params, uniform_cfg(dt=0.01, steps=2))
 
     def test_snapshot_times_require_writer(self):
         params = PhysParams()

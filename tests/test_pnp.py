@@ -271,6 +271,9 @@ class TestPreconditionedAction:
         transforms["calls"] = 0
         system.jacobian_action(c, v)
         assert transforms["calls"] == 13
+        transforms["calls"] = 0
+        system.residual(c)
+        assert transforms["calls"] == 13
 
 
 class TestGmres:
