@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import mms
 from .config import build_initial_state, load_config
-from .errors import ConfigError, NoConvergenceError, PnpnsError
-from .integrator import run
+from .errors import NoConvergenceError, PnpnsError
+from .integrator import check_schedule, run
 from .snapshot import atomic_write, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import StepDiagnostics, mass
 
@@ -74,6 +74,7 @@ def cmd_run(config_path: str) -> int:
     try:
         config = load_config(config_path)
         state, forcing = build_initial_state(config)
+        check_schedule(state, config.scheme)  # before diagnostics.csv is opened
     except PnpnsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -103,9 +104,6 @@ def cmd_run(config_path: str) -> int:
             record = run(state, config.params, config.scheme, sources=forcing,
                          on_step=lambda diag: write_row(_diagnostics_row(diag)),
                          snapshot_writer=snapshot_writer)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         except PnpnsError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 2

@@ -128,6 +128,7 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         p=step1.p_new, n=step1.n_new, psi=step1.psi_new,
         u=vel.u_new, phi=vel.phi_new,
         step_index=state.step_index + 1, time=t_new,
+        line_ref=step1.line_ref, line_age=step1.line_age,
     )
     energy = total_energy(new_state, params, dt)
     diag = StepDiagnostics(
@@ -151,6 +152,21 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
     return new_state, diag
 
 
+def check_schedule(initial: SimState, cfg: SchemeConfig) -> None:
+    """Raise ConfigError unless cfg's steps and snapshot times can follow initial.
+
+    Rejected: an initial state whose time is not step_index * dt (a restart
+    with another dt), and a snapshot time after the run's end.
+    """
+    if not math.isclose(initial.time, initial.step_index * cfg.dt, rel_tol=1e-9, abs_tol=0.0):
+        raise ConfigError(f"initial state at t={initial.time:g} is not step "
+                          f"{initial.step_index} of dt={cfg.dt:g}; a restart keeps its dt")
+    t_end = (initial.step_index + cfg.n_steps) * cfg.dt
+    last = max(cfg.snapshot_times, default=-math.inf)
+    if last - 1e-12 > t_end:
+        raise ConfigError(f"snapshot time {last:g} is after the run's end t={t_end:g}")
+
+
 def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
         sources: ForcingTerms | None = None,
         on_step: Callable[[StepDiagnostics], None] | None = None,
@@ -161,19 +177,12 @@ def run(initial: SimState, params: PhysParams, cfg: SchemeConfig,
     snapshot time (no interpolation); the writer callback owns the file
     format. Per-step diagnostics stream through on_step and are collected in
     the returned record. Deterministic: identical inputs give identical
-    results. Before the first step, an initial state whose time is not
-    step_index * dt (a restart with another dt) or a snapshot time after
-    the run's end raises ConfigError.
+    results. The schedule is checked before the first step (check_schedule).
     """
     pending = sorted(cfg.snapshot_times)
     if pending and snapshot_writer is None:
         raise ConfigError("snapshot_times given but no snapshot writer supplied")
-    if not math.isclose(initial.time, initial.step_index * cfg.dt, rel_tol=1e-9, abs_tol=0.0):
-        raise ConfigError(f"initial state at t={initial.time:g} is not step "
-                          f"{initial.step_index} of dt={cfg.dt:g}; a restart keeps its dt")
-    t_end = (initial.step_index + cfg.n_steps) * cfg.dt
-    if pending and pending[-1] - 1e-12 > t_end:
-        raise ConfigError(f"snapshot time {pending[-1]:g} is after the run's end t={t_end:g}")
+    check_schedule(initial, cfg)
 
     record = RunRecord()
     state = initial

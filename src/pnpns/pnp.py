@@ -26,10 +26,21 @@ P y. P is chosen once per step from the previous state:
     the linearized operator is A = diag(c_old/dt) - D div(M grad .), whose
     spectral derivatives couple the cells of each grid line densely. P v =
     c_old w, with w from exact solves on the columns, then on the rows
-    (LinePreconditioner), all frozen at c_old for the step. The
-    constant-coefficient symbol cannot see a contrast of 1e6 in M and needs
-    hundreds of GMRES iterations per Newton there; the line solves need a
-    few.
+    (LinePreconditioner), frozen at a reference for up to
+    LINE_REBUILD_PERIOD steps. The constant-coefficient symbol cannot see a
+    contrast of 1e6 in M and needs hundreds of GMRES iterations per Newton
+    there; the line solves need a few.
+
+The line solves' factors cost about half of a step to build, so they are
+lagged across time steps, as a Jacobian-free Newton-Krylov solver lags its
+preconditioner (Knoll & Keyes, J. Comput. Phys. 193, 2004, sec. 3): a step
+that rebuilds them takes c_old as the reference, and the next steps reuse
+that reference while P still scales by their own c_old. The state carries
+the reference and its age (SimState.line_ref, line_age), so a snapshot
+carries them too; the factors themselves live in one process-wide slot
+(_line_factors). They are a deterministic function of the reference, dt and
+the parameters, so a step from a reloaded state, whose factors are rebuilt,
+is bitwise the step from the state in memory.
 
 The inexact Newton iteration asks GMRES for a relative linear residual
 eta_k. The first solve of a step takes eta_0 = NEWTON_GMRES_TOL. On the
@@ -105,6 +116,15 @@ MIN_CONCENTRATION = 1e-14
 #: 3e3 keeps both sizes within 1.25x of the faster path.
 LINE_CONTRAST = 3e3
 
+#: the line factors are rebuilt at c_old every LINE_REBUILD_PERIOD-th line-path
+#: step and reused by the steps in between. From a sweep of the 1000-step
+#: two-blob run (N = 64, kappa = 1e4, dt = 1e-4) on a shared 2-CPU VM with one
+#: BLAS thread, wall time of two runs / Krylov products, by period:
+#: 1: 170, 175 s / 80566; 3: 141, 158 s / 81514; 5: 142, 132 s / 82714;
+#: 8: 142 s / 83918; 12: 137 s / 85468. The wall time is flat within the
+#: machine's noise from 3 to 12 while the products grow with the period.
+LINE_REBUILD_PERIOD = 5
+
 #: line search constants: Armijo slope fraction and backtracking factor
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -125,6 +145,7 @@ class Step1Result:
     cycle).
     j_initial/j_final hold the convex objective at the initial guess and at
     the solution when functional tracking is enabled, NaN otherwise.
+    line_ref and line_age are the next state's (SimState).
     """
 
     p_new: ScalarField
@@ -138,6 +159,8 @@ class Step1Result:
     final_residual: float
     j_initial: float
     j_final: float
+    line_ref: np.ndarray | None
+    line_age: int
 
 
 def compute_psi(p: ScalarField, n: ScalarField, epsilon: float) -> ScalarField:
@@ -230,11 +253,11 @@ class LinePreconditioner:
     rows; since B_x w = v, v - A w is -Y_off w. The spectral derivative
     couples the cells of one grid line densely, and a contrast of 1e6 in m
     makes that coupling matter, which a line solve resolves exactly. Each
-    direction's blocks are inverted in place: 2 N^3 floats, held for one
-    time step on their own memory map, whose pages go back to the system
-    when the step ends. From the malloc heap they would stay resident,
-    fragmented among the step's small arrays: 5-16 MB more peak memory on
-    the two-blob run at N = 64.
+    direction's blocks are inverted in place: 2 N^3 floats on their own
+    memory map, held by the process-wide slot (_line_factors), whose pages
+    go back to the system when the slot is replaced. From the malloc heap
+    they would stay resident, fragmented among the step's small arrays:
+    5-16 MB more peak memory on the two-blob run at N = 64.
     """
 
     def __init__(self, d: np.ndarray, s: np.ndarray, m: np.ndarray):
@@ -256,13 +279,45 @@ class LinePreconditioner:
         return w
 
 
+#: the one resident set of line factors: (reference, dt, params, one
+#: LinePreconditioner per species), or None
+_line_slot: tuple | None = None
+
+
+def _line_factors(grid: Grid, ref: np.ndarray, dt: float,
+                  params: PhysParams) -> list[LinePreconditioner]:
+    """The line preconditioner of each species, built at the stacked reference ref.
+
+    The slot is keyed by the identity of ref and by (dt, params): a state
+    and its successors share one reference array, and a reloaded state,
+    whose reference is a copy, rebuilds the same factors. A key on the
+    array's content would let an unrelated state reuse factors it never
+    built. A miss empties the slot before building, so at most one set
+    (4 N^3 floats) is resident. A thread that loses the slot to another
+    rebuilds; the Step1System it serves keeps its own set meanwhile.
+    """
+    global _line_slot
+    slot = _line_slot
+    if slot is not None and slot[0] is ref and slot[1] == dt and slot[2] == params:
+        return slot[3]
+    _line_slot = slot = None  # the old factors go before the new ones are built
+    d = params.diffusion
+    lines = [LinePreconditioner(grid.diff_matrix, ci / dt,
+                                d * mobility(ci, dt, params.kappa, d)) for ci in ref]
+    _line_slot = (ref, dt, params, lines)
+    return lines
+
+
 class Step1System:
     """Per-step residual/Jacobian machinery on stacked (p, n) arrays.
 
     Both go through one flux kernel (_flux_div), P through one fork
     (_precondition). Computed once from the previous state: convection
     divergences, augmented mobilities, psi's symbol and the preconditioner
-    (the spectral symbols, or the line solves built on the first Krylov product).
+    (the spectral symbols, or the line solves at line_ref, looked up on the
+    first Krylov product). On the line path line_ref is the previous state's
+    reference while its age is below LINE_REBUILD_PERIOD, and c_old
+    otherwise; line_age counts this step.
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
@@ -272,6 +327,7 @@ class Step1System:
         self.params = params
         self.dt = dt
         self.c_prev = np.stack((prev.p.values, prev.n.values))
+        self.c_prev.flags.writeable = False  # it may become the line reference
         if self.c_prev.min() < MIN_CONCENTRATION:
             raise NonPositiveConcentrationError(
                 "previous state is too close to the positivity boundary"
@@ -284,7 +340,13 @@ class Step1System:
         self.source = None if sources is None else np.stack(sources)
 
         self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
-        if not self.line_path:
+        self.line_ref, self.line_age = None, 0
+        if self.line_path:
+            if prev.line_ref is not None and prev.line_age < LINE_REBUILD_PERIOD:
+                self.line_ref, self.line_age = prev.line_ref, prev.line_age + 1
+            else:
+                self.line_ref, self.line_age = self.c_prev, 1
+        else:
             # spectral preconditioner (1/dt - D cbar lap)^{-1} per species, with
             # cbar the mean diffusion coefficient of the linearized operator
             # (M/c, not M itself: the Jacobian differentiates through ln c)
@@ -294,10 +356,8 @@ class Step1System:
 
     @cached_property
     def _lines(self) -> list[LinePreconditioner]:
-        """The line preconditioner of each species, built on the first Krylov product."""
-        d = self.params.diffusion
-        return [LinePreconditioner(self.grid.diff_matrix, ci / self.dt, d * mi)
-                for ci, mi in zip(self.c_prev, self.m)]
+        """The line preconditioner of each species, looked up on the first Krylov product."""
+        return _line_factors(self.grid, self.line_ref, self.dt, self.params)
 
     def potentials(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """psi from -eps lap psi = p - n, and the stacked mu_i = ln c_i + z_i psi.
@@ -515,6 +575,8 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         final_residual=res,
         j_initial=j_initial,
         j_final=j_final,
+        line_ref=system.line_ref,
+        line_age=system.line_age,
     )
 
 

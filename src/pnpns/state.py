@@ -69,7 +69,10 @@ class SimState:
 
     p, n are the ion concentrations (positive everywhere), psi the zero-mean
     electric potential, u the projected velocity, phi the zero-mean modified
-    pressure.
+    pressure. line_ref is the stacked (2, N, N) concentrations at which the
+    next ion step's line preconditioner is built, and line_age the number of
+    steps that have used it (None and 0 when the last step took the
+    spectral path, or none was taken); the array is never written to.
     """
 
     p: ScalarField
@@ -79,6 +82,8 @@ class SimState:
     phi: ScalarField
     step_index: int = 0
     time: float = 0.0
+    line_ref: np.ndarray | None = None
+    line_age: int = 0
 
     @property
     def grid(self) -> Grid:

@@ -19,8 +19,11 @@ from pnpns.errors import (
     SnapshotError,
 )
 from pnpns.integrator import initialize
+from pnpns.pnp import LINE_REBUILD_PERIOD
 from pnpns.snapshot import (
+    FIELD_ORDER,
     HEADER_SIZE,
+    REF_FIELDS,
     read_snapshot,
     read_snapshot_meta,
     write_snapshot,
@@ -219,6 +222,73 @@ class TestSnapshot:
         with pytest.raises(RejectedGridError):
             read_snapshot(path, expected_n_modes=64)
 
+    @staticmethod
+    def with_line_reference(state, age=1, ref=None):
+        if ref is None:
+            ref = np.stack((state.p.values, state.n.values))
+        return dataclasses.replace(state, line_ref=ref, line_age=age)
+
+    def test_round_trip_keeps_the_line_reference(self, tmp_path, sample_state):
+        state, params = sample_state
+        state = self.with_line_reference(state, age=LINE_REBUILD_PERIOD)
+        path = write_snapshot(state, params, tmp_path / "snap.bin")
+        assert read_snapshot_meta(path)["fields"] == list(FIELD_ORDER + REF_FIELDS)
+        loaded = read_snapshot(path)
+        assert loaded.line_age == LINE_REBUILD_PERIOD
+        assert np.array_equal(loaded.line_ref, state.line_ref)
+        assert not loaded.line_ref.flags.writeable
+        assert read_snapshot(write_snapshot(sample_state[0], params, path)).line_ref is None
+
+    def test_nonpositive_line_reference_rejected(self, tmp_path, sample_state, capsys):
+        state, params = sample_state
+        ref = np.stack((state.p.values, state.n.values))
+        ref[1, 0, 0] = 0.0
+        path = write_snapshot(self.with_line_reference(state, ref=ref), params,
+                              tmp_path / "snap.bin")
+        with pytest.raises(NonPositiveConcentrationError):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        assert "line_ref_n must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_line_reference_rejected(self, tmp_path, sample_state, capsys, value):
+        state, params = sample_state
+        path = write_snapshot(self.with_line_reference(state), params, tmp_path / "snap.bin")
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([value], dtype="<f8").tobytes()  # the last cell of line_ref_n
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="non-finite"):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("age", [0, LINE_REBUILD_PERIOD + 1, "2", None],
+                             ids=["zero", "past-period", "text", "missing"])
+    def test_line_age_out_of_range_rejected(self, tmp_path, sample_state, capsys, age):
+        state, params = sample_state
+        path = write_snapshot(self.with_line_reference(state), params, tmp_path / "snap.bin")
+        rewrite_meta(path, {"line_age": age})
+        with pytest.raises(SnapshotError, match="line_age"):
+            read_snapshot(path)
+        assert main(["inspect", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_line_age_without_reference_rejected(self, tmp_path, sample_state):
+        state, params = sample_state
+        path = write_snapshot(state, params, tmp_path / "snap.bin")
+        rewrite_meta(path, {"line_age": 1})
+        with pytest.raises(SnapshotError, match="line_age"):
+            read_snapshot(path)
+
+    def test_reference_fields_need_version_2(self, tmp_path, sample_state):
+        state, params = sample_state
+        path = write_snapshot(self.with_line_reference(state), params, tmp_path / "snap.bin")
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="field order"):
+            read_snapshot(path)
+
 
 class TestCommands:
     def test_run_writes_diagnostics(self, tmp_path, capsys):
@@ -412,10 +482,13 @@ class TestCommands:
             tmp_path / "run.json",
             time={"dt": 0.01, "t_final": 0.02},
             initial={"preset": "from_snapshot", "path": str(snap)})
+        # the diagnostics of the run whose snapshot is restarted
+        prior = tmp_path / "out" / "diagnostics.csv"
+        prior.parent.mkdir()
+        prior.write_bytes(b"step,time\n1,0.02\n")
         assert main(["run", str(cfg_path)]) == 1
         assert "a restart keeps its dt" in capsys.readouterr().err
-        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
-        assert len(rows) == 1  # the header, no step
+        assert prior.read_bytes() == b"step,time\n1,0.02\n"  # rejected before it is opened
 
     def test_from_snapshot_wrong_grid(self, tmp_path, sample_state):
         state, params = sample_state

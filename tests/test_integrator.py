@@ -1,15 +1,18 @@
 """Initialization, single steps, full runs, determinism."""
 
 import dataclasses
+import struct
+import weakref
 
 import numpy as np
 import pytest
 
-from pnpns import mms
+from pnpns import mms, pnp
 from pnpns.config import blob_concentration
 from pnpns.errors import ConfigError, NetChargeError, NonPositiveConcentrationError
 from pnpns.integrator import advance, initialize, run
 from pnpns.pnp import Step1System
+from pnpns.snapshot import read_snapshot, write_snapshot
 from pnpns.spectral import vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
@@ -228,3 +231,121 @@ class TestRun:
             assert np.array_equal(getattr(a, field).values, getattr(b, field).values)
         assert np.array_equal(a.u.x_comp.values, b.u.x_comp.values)
         assert np.array_equal(a.u.y_comp.values, b.u.y_comp.values)
+
+
+def blob_run(n_modes, steps):
+    """(initial state, params, cfg) of the two-blob experiment (preset blobs_5_2)."""
+    params = PhysParams(epsilon=1.0, kappa=1e4)
+    cfg = SchemeConfig(n_modes=n_modes, dt=1e-4, t_final=steps * 1e-4)
+    state = initialize(blob_concentration(0.8 * np.pi, 0.8 * np.pi),
+                       blob_concentration(1.2 * np.pi, 1.2 * np.pi), None, params, cfg)
+    return state, params, cfg
+
+
+def assert_same_state(a, b):
+    for name in ("p", "n", "psi", "phi"):
+        assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+    assert np.array_equal(a.u.x_comp.values, b.u.x_comp.values)
+    assert np.array_equal(a.u.y_comp.values, b.u.y_comp.values)
+    assert (a.step_index, a.time, a.line_age) == (b.step_index, b.time, b.line_age)
+    assert (a.line_ref is None) == (b.line_ref is None)
+    if a.line_ref is not None:
+        assert np.array_equal(a.line_ref, b.line_ref)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts LinePreconditioner constructions, from an empty factor slot.
+
+    "most_alive" is the largest number of other LinePreconditioners alive
+    when one is constructed.
+    """
+    monkeypatch.setattr(pnp, "_line_slot", None)
+    counter = {"calls": 0, "most_alive": 0}
+    alive = weakref.WeakSet()
+    init = pnp.LinePreconditioner.__init__
+
+    def counted(self, *args):
+        counter["calls"] += 1
+        counter["most_alive"] = max(counter["most_alive"], len(alive))
+        init(self, *args)
+        alive.add(self)
+
+    monkeypatch.setattr(pnp.LinePreconditioner, "__init__", counted)
+    return counter
+
+
+class TestLineFactorReuse:
+    def test_restart_mid_period_is_bitwise(self, tmp_path):
+        period = pnp.LINE_REBUILD_PERIOD
+        state, params, cfg = blob_run(32, steps=period + 2)
+        straight = run(state, params, cfg).final_state
+
+        head = run(state, params, blob_run(32, steps=2)[2]).final_state
+        path = write_snapshot(head, params, tmp_path / "snap.bin")
+        reloaded = read_snapshot(path)
+        assert reloaded.line_age == head.line_age == 2  # mid-period
+        assert reloaded.line_ref is not head.line_ref
+        assert_same_state(reloaded, head)
+        resumed = run(reloaded, params, blob_run(32, steps=period)[2]).final_state
+        assert_same_state(resumed, straight)
+
+    def test_factors_are_built_once_per_period(self, builds):
+        period = pnp.LINE_REBUILD_PERIOD
+        state, params, cfg = blob_run(32, steps=period + 1)
+        ages, refs, calls = [], [], []
+        for _ in range(period + 1):
+            state, _ = advance(state, params, cfg)
+            ages.append(state.line_age)
+            refs.append(state.line_ref)
+            calls.append(builds["calls"])
+        assert calls[2] == 2  # a 3-step run: one per species, not one per species and step
+        assert calls[-2:] == [2, 4]
+        assert ages == [*range(1, period + 1), 1]
+        assert all(ref is refs[0] for ref in refs[:period])
+        assert refs[-1] is not refs[0]
+
+    def test_slot_contents_do_not_change_the_step(self, builds):
+        initial, params, cfg = blob_run(32, steps=2)
+        state = run(initial, params, cfg).final_state
+        built = builds["calls"]
+        warm, _ = advance(state, params, cfg)
+        assert builds["calls"] == built  # a hit
+
+        pnp._line_slot = None  # the fixture puts the slot back afterwards
+        cleared, _ = advance(state, params, cfg)
+        assert builds["calls"] == built + 2
+
+        advance(initial, params, cfg)  # the slot now holds another reference's factors
+        replaced, _ = advance(state, params, cfg)
+        assert builds["calls"] == built + 6
+        assert builds["most_alive"] == 1  # the old set goes before the new one is built
+        assert_same_state(cleared, warm)
+        assert_same_state(replaced, warm)
+
+    def test_version_1_snapshot_rebuilds_on_its_first_step(self, builds, tmp_path):
+        initial, params, cfg = blob_run(32, steps=2)
+        state = run(initial, params, cfg).final_state
+        old = dataclasses.replace(state, line_ref=None, line_age=0)
+        path = write_snapshot(old, params, tmp_path / "v1.bin")
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = struct.pack("<I", 1)  # the version-1 header of the same layout
+        path.write_bytes(bytes(raw))
+
+        loaded = read_snapshot(path)
+        assert loaded.line_ref is None and loaded.line_age == 0
+        built = builds["calls"]
+        after, _ = advance(loaded, params, cfg)
+        assert builds["calls"] == built + 2
+        assert after.line_age == 1
+        assert np.array_equal(after.line_ref, np.stack((loaded.p.values, loaded.n.values)))
+
+    def test_spectral_step_drops_the_reference(self):
+        params = PhysParams()
+        cfg = uniform_cfg(n=16, dt=0.02, steps=1)
+        case = mms.make_case(params)
+        blob, *_ = blob_run(16, steps=1)
+        state = dataclasses.replace(case.initial_state(cfg), line_ref=np.stack(
+            (blob.p.values, blob.n.values)), line_age=2)
+        after, _ = advance(state, params, cfg, sources=case)
+        assert after.line_ref is None and after.line_age == 0
