@@ -36,7 +36,6 @@ _SOLVER_SCHEMA = {
         "newton_max_iter": {"type": "integer", "minimum": 1},
         "krylov_tol": _NUMBER_POS,
         "krylov_max_iter": {"type": "integer", "minimum": 1},
-        "track_functional": {"type": "boolean"},
     },
 }
 

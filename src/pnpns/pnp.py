@@ -13,11 +13,17 @@ The solve is Newton-Krylov on the collocation residual in c with psi
 eliminated, an Armijo backtracking line search on the residual norm, and a
 fraction-to-boundary rule that keeps every iterate strictly positive. The
 residual and the Jacobian share one flux kernel, D div(M_i grad(f_i + z_i psi))
-with psi in spectral space (f = ln c, and f = dc/c for the Jacobian); psi and
-mu are formed in physical space once per step, at the solution. GMRES
-works on the Jacobian right-preconditioned by a per-species operator P,
-given as one product J P (Step1System.preconditioned_action); the update is
-P y. P is chosen once per step from the previous state:
+(f = ln c, and f = dc/c for the Jacobian), psi from the spectrum of the
+charge. On the spectral path psi stays spectral and the derivatives are
+transforms: 13 per residual. On the line path the derivatives are products
+with the dense 1-D differentiation matrix (Grid.diff_matrix), which the line
+solves hold anyway, so a residual or a Krylov product takes 2 transforms,
+the charge's and psi's; at N <= 128 the matrix products cost less than the
+transforms they replace (Trefethen, Spectral Methods in MATLAB, 2000,
+ch. 3). psi and mu are formed in physical space once per step, at the
+solution. GMRES works on the Jacobian right-preconditioned by a per-species
+operator P, given as one product J P (Step1System.preconditioned_action);
+the update is P y. P is chosen once per step from the previous state:
 
   * spectral path: (1/dt - D cbar lap)^{-1} with cbar the mean of M/c_old,
     diagonal in Fourier space; its spectra feed the Jacobian directly.
@@ -65,8 +71,9 @@ the line search does not use it.
 
 The unknown is one C-contiguous (2, N, N) array with the species on axis 0,
 so its ravel is the Krylov vector itself. Reductions and transforms run per
-species slice, which keeps every result bit for bit equal to the
-species-by-species computation.
+species slice, and numpy multiplies a stack by a matrix slice by slice,
+which keeps every result bit for bit equal to the species-by-species
+computation.
 """
 
 from __future__ import annotations
@@ -108,12 +115,15 @@ MIN_CONCENTRATION = 1e-14
 #: the ion step is preconditioned by line solves when max c_old / min c_old
 #: of some species exceeds this, and by the spectral symbols otherwise. From
 #: a sweep of the first two-blob step (kappa = 1e4, dt = 1e-4) over the
-#: blobs' floor, in ms per step on a 2-CPU VM with one BLAS thread
-#: (spectral / line): 41 / 40 at contrast 1.7e3 and 55 / 40 at 5.5e3 for
-#: N = 64; 221 / 337 and 343 / 315 for N = 128, where the O(N^4) build of
-#: the line path weighs more. The line path takes 2-7 GMRES per Newton at
-#: every floor, the spectral one 2-9 at contrast 18 and 45-481 at 1.7e6.
-#: 3e3 keeps both sizes within 1.25x of the faster path.
+#: blobs' floor, in CPU ms per step with the line build on a 2-CPU VM with
+#: one BLAS thread (spectral / line): 34 / 42 at contrast 8.3e2, 52 / 40 at
+#: 1.4e3, 41 / 40 at 2.5e3 and 77 / 40 at 4.6e3 for N = 64; 313 / 386,
+#: 437 / 413 and 576 / 385 at 8.3e2, 2.5e3 and 4.6e3 for N = 128, where the
+#: O(N^4) build of the line path weighs more. Over that sweep the line path
+#: takes 7-10 Krylov products per step and the spectral one 35-175; at the
+#: experiment's contrast of 1.7e6 the spectral path needs 45-481 GMRES per
+#: Newton. The crossover lies near 1e3 at N = 64 and 2e3 at N = 128, so
+#: below 3e3 the spectral path can be up to 1.3x slower than the line path.
 LINE_CONTRAST = 3e3
 
 #: the line factors are rebuilt at c_old every LINE_REBUILD_PERIOD-th line-path
@@ -143,8 +153,6 @@ class Step1Result:
     one per GMRES iteration, plus one explicit residual per restart cycle
     that ends unconverged (none for a solve that converges in its first
     cycle).
-    j_initial/j_final hold the convex objective at the initial guess and at
-    the solution when functional tracking is enabled, NaN otherwise.
     line_ref and line_age are the next state's (SimState).
     """
 
@@ -157,8 +165,6 @@ class Step1Result:
     krylov_iters: int
     krylov_iters_max: int
     final_residual: float
-    j_initial: float
-    j_final: float
     line_ref: np.ndarray | None
     line_age: int
 
@@ -230,7 +236,7 @@ def _invert_spd(blocks: np.ndarray) -> np.ndarray:
     cell in a vacuum near MIN_CONCENTRATION at kappa dt = 1e4 gives, is
     inverted by LU instead.
     """
-    lower = np.tril_indices(blocks.shape[1], -1)
+    lower = np.tri(blocks.shape[1], k=-1, dtype=bool)
     for block in blocks:
         # LAPACK reads the C-ordered block as its transpose: the same matrix
         factor, info = potrf(block.T)
@@ -240,7 +246,9 @@ def _invert_spd(blocks: np.ndarray) -> np.ndarray:
             block[...] = np.linalg.inv(block)
             continue
         block[...] = inverse  # valid in the upper triangle
-        block[lower] = block.T[lower]
+        # mirrored from potri's own array: a source that overlaps the block
+        # would make numpy copy it first
+        np.copyto(block, inverse.T, where=lower)
     return blocks
 
 
@@ -372,11 +380,21 @@ class Step1System:
         """D div(M_i grad(f_i + z_i psi)) per species, psi from the charge spectrum (overwritten).
 
         The one kernel of the residual (f = ln c) and the Jacobian (f = dc/c);
-        psi stays spectral and drops its mean, so a net charge is not seen here.
+        psi drops its mean, so a net charge is not seen here. On the line
+        path the derivatives are products with the differentiation matrix d
+        on the whole stack, the same collocation derivatives as the
+        transforms and cheaper at the sizes that path runs at: psi is
+        transformed back once, 1 transform in all. On the spectral path psi
+        stays spectral and each species takes 6 transforms, 12 in all.
         """
         grid = self.grid
         psi = charge
         psi *= self._inv_eps_k2
+        if self.line_path:
+            d = grid.diff_matrix
+            h = f + VALENCE * grid.irfft(psi)
+            return self.params.diffusion * (d @ (self.m * (d @ h))
+                                            + (self.m * (h @ d.T)) @ d.T)
         out = np.empty_like(f)
         for i, (fi, m, z) in enumerate(zip(f, self.m, VALENCE.flat)):
             gx, gy = grid.grad_spectrum(grid.rfft(fi) + z * psi)
@@ -384,7 +402,7 @@ class Step1System:
         return self.params.diffusion * out
 
     def residual(self, c: np.ndarray) -> np.ndarray:
-        """The stacked residual at c (13 transforms)."""
+        """The stacked residual at c (13 transforms on the spectral path, 2 on the line path)."""
         _require_positive(c)
         r = ((c - self.c_prev) / self.dt + self.conv
              - self._flux_div(np.log(c), self.grid.rfft(c[0] - c[1])))
@@ -400,8 +418,8 @@ class Step1System:
         The operator GMRES works on. On the spectral path P ends in the
         spectra of P v, which give the Jacobian its charge spectrum, so P v
         is transformed back once and never forward again: 16 transforms
-        where P followed by J takes 18. On the line path J transforms the
-        charge itself.
+        where P followed by J takes 18. On the line path P takes none and J
+        transforms the charge forward and psi back: 2 transforms.
         """
         return self._jacobian(c, *self._precondition(v)).reshape(v.shape)
 
@@ -558,11 +576,6 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         if drift > 1e-11 * abs(grid.integral(old)):
             raise MassMismatchError(f"step lost {name}-mass: drift {drift:.3e}")
 
-    j_initial = j_final = math.nan
-    if cfg.track_functional:
-        j_initial = system.objective(system.c_prev)
-        j_final = system.objective(c)
-
     return Step1Result(
         p_new=ScalarField(grid, c[0]),
         n_new=ScalarField(grid, c[1]),
@@ -573,8 +586,6 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         krylov_iters=sum(products),
         krylov_iters_max=max(products, default=0),
         final_residual=res,
-        j_initial=j_initial,
-        j_final=j_final,
         line_ref=system.line_ref,
         line_age=system.line_age,
     )

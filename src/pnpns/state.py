@@ -42,7 +42,6 @@ class SchemeConfig:
     newton_max_iter: int = 30
     krylov_tol: float = 1e-12
     krylov_max_iter: int = 200
-    track_functional: bool = False
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):

@@ -91,3 +91,12 @@ def admissible_state(grid: Grid, rng, wobble: float = 0.3,
     phi_vals = band_limited(grid, rng, amplitude=0.2)
     phi = ScalarField(grid, phi_vals - phi_vals.mean())
     return SimState(p=p, n=n, psi=psi, u=u, phi=phi, step_index=0, time=0.0)
+
+
+def contrast_state(grid: Grid, rng, log_range: float = 12.0) -> SimState:
+    """Previous state at rest whose concentrations span a contrast of about e^log_range."""
+    p, n = (np.exp(band_limited(grid, rng, amplitude=0.5 * log_range)) for _ in range(2))
+    n *= p.sum() / n.sum()
+    zero = ScalarField.constant(grid, 0.0)
+    return SimState(p=ScalarField(grid, p), n=ScalarField(grid, n), psi=zero,
+                    u=VectorField.zero(grid), phi=zero.copy())

@@ -20,7 +20,7 @@ from pnpns.pnp import Step1System, functional_value, solve_step1
 from pnpns.spectral import ScalarField, VectorField, make_grid, vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
-from conftest import admissible_state, band_limited, positive_field
+from conftest import admissible_state, band_limited, contrast_state, positive_field
 from oracles import (
     dense_solve_zero_mean,
     dense_weighted_laplacian,
@@ -175,18 +175,20 @@ def test_criterion_3_functional_convexity_and_certificate():
             params, dt)
         assert j_mid <= 0.5 * (j_a + j_b) + 1e-10
 
-    cfg = SchemeConfig(n_modes=8, dt=dt, t_final=dt, track_functional=True)
+    cfg = SchemeConfig(n_modes=8, dt=dt, t_final=dt)
     for trial in range(100):
         rng = np.random.default_rng(80_000 + trial)
         state = admissible_state(grid, rng)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.j_final <= result.j_initial + 1e-12 * abs(result.j_initial)
+        j_initial = functional_value(state, state.p, state.n, params, dt)
+        j_final = functional_value(state, result.p_new, result.n_new, params, dt)
+        assert j_final <= j_initial + 1e-12 * abs(j_initial)
         for k in range(3):
             prng = np.random.default_rng(90_000 + 100 * trial + k)
             t_p, t_n = perturb(
                 type("S", (), {"p": result.p_new, "n": result.n_new})(), prng, 0.02)
             j_trial = functional_value(state, t_p, t_n, params, dt)
-            assert result.j_final <= j_trial + 1e-10 * abs(j_trial)
+            assert j_final <= j_trial + 1e-10 * abs(j_trial)
     _report("3 functional convexity + minimizer certificate (100+100 trials)")
 
 
@@ -226,17 +228,27 @@ def test_criterion_4_jacobian_vs_finite_differences():
     grid = make_grid(8)
     params = PhysParams(epsilon=1.2, kappa=1.5, diffusion=0.8)
     dt = 0.1
+
+    def cases():
+        for trial in range(10):
+            rng = np.random.default_rng(110_000 + trial)
+            state = admissible_state(grid, rng)
+            dp_vals = band_limited(grid, rng, kmax=3)
+            dn_vals = band_limited(grid, rng, kmax=3)
+            yield state, np.stack((dp_vals - dp_vals.mean(), dn_vals - dn_vals.mean()))
+        # a near-vacuum state, whose kernel runs on the differentiation matrix:
+        # the direction is relative to c, as the line path's P v = c_old w is
+        rng = np.random.default_rng(110_010)
+        state = contrast_state(grid, rng)
+        w = np.stack([band_limited(grid, rng, kmax=3) for _ in range(2)])
+        yield state, np.stack((state.p.values, state.n.values)) * w
+
     worst = 0.0
-    for trial in range(10):
-        rng = np.random.default_rng(110_000 + trial)
-        state = admissible_state(grid, rng)
-        dp_vals = band_limited(grid, rng, kmax=3)
-        dn_vals = band_limited(grid, rng, kmax=3)
-        dp_vals -= dp_vals.mean()
-        dn_vals -= dn_vals.mean()
+    paths = []
+    for state, dc in cases():
         c = np.stack((state.p.values, state.n.values))
-        dc = np.stack((dp_vals, dn_vals))
         system = Step1System(state, params, dt)
+        paths.append(system.line_path)
         j_p, j_n = system.jacobian_action(c, dc)
         h = 1e-5
         rp_f, rn_f = system.residual(c + h * dc)
@@ -248,7 +260,8 @@ def test_criterion_4_jacobian_vs_finite_differences():
         den = math.sqrt(grid.inner(j_p, j_p) + grid.inner(j_n, j_n))
         worst = max(worst, num / den)
         assert num <= 1e-6 * den
-    _report("4 Jacobian vs finite differences", f"worst rel. err {worst:.2e}")
+    assert paths == [False] * 10 + [True]
+    _report("4 Jacobian vs finite differences (both paths)", f"worst rel. err {worst:.2e}")
 
 
 def test_criterion_4_weighted_laplacian_vs_dense_assembly():

@@ -98,10 +98,12 @@ class TestConfig:
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(cfg_path)
-        # the key of a removed option (the 3/2-rule product) is unknown too
-        cfg_path = write_config(tmp_path / "run.json", solver={"dealias": False})
-        with pytest.raises(ConfigError):
-            load_config(cfg_path)
+        # the keys of removed options (the 3/2-rule product, the objective
+        # tracking that nothing read) are unknown too
+        for removed in ({"dealias": False}, {"track_functional": True}):
+            cfg_path = write_config(tmp_path / "run.json", solver=removed)
+            with pytest.raises(ConfigError):
+                load_config(cfg_path)
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.json", extra={"a": 1})

@@ -23,7 +23,7 @@ from pnpns.pnp import (
 from pnpns.spectral import ScalarField, VectorField, make_grid
 from pnpns.state import PhysParams, SchemeConfig, SimState, mass
 
-from conftest import admissible_state, band_limited, div_free_velocity
+from conftest import admissible_state, band_limited, contrast_state, div_free_velocity
 from oracles import dense_solve_zero_mean, dense_weighted_laplacian
 
 TWO_PI = 2.0 * np.pi
@@ -275,6 +275,67 @@ class TestPreconditionedAction:
         system.residual(c)
         assert transforms["calls"] == 13
 
+    def test_line_path_transform_counts(self, grid8, rng, transforms):
+        system = Step1System(contrast_state(grid8, rng), PhysParams(kappa=50.0), dt=0.05)
+        assert system.line_path
+        c = system.c_prev
+        v = rng.standard_normal(c.size)
+        system.preconditioner(v)  # builds the line factors and the differentiation matrix
+        for product in (partial(system.preconditioned_action, c, v),
+                        partial(system.jacobian_action, c, v),
+                        partial(system.residual, c)):
+            transforms["calls"] = 0
+            product()
+            assert transforms["calls"] == 2  # the charge forward, psi back
+
+
+def transform_flux_div(grid, params, m, f, charge):
+    """D div(M_i grad(f_i + z_i psi)) per species through Grid.grad and Grid.div."""
+    psi = grid.inv_laplacian_zero_mean((charge - charge.mean()) / params.epsilon)
+    return np.stack([params.diffusion * grid.div(*(mi * g for g in grid.grad(fi + z * psi)))
+                     for fi, mi, z in zip(f, m, (1.0, -1.0))])
+
+
+@pytest.fixture(params=["contrast8", "contrast16", "blob32"])
+def line_path_case(request, rng):
+    """(state, params, dt, system, c, dc): a line-path step, an iterate c near c_old, a direction dc."""
+    if request.param == "blob32":
+        state, params, cfg = blob_step(32)
+        dt = cfg.dt
+    else:
+        state = contrast_state(make_grid(int(request.param[8:])), rng)
+        params, dt = PhysParams(epsilon=1.3, kappa=50.0, diffusion=0.7), 0.05
+    system = Step1System(state, params, dt)
+    assert system.line_path
+    grid = state.grid
+    c = system.c_prev * np.exp(0.1 * np.stack([band_limited(grid, rng) for _ in range(2)]))
+    dc = c * np.stack([band_limited(grid, rng) for _ in range(2)])
+    return state, params, dt, system, c, dc
+
+
+class TestLinePathKernel:
+    """The line path's flux kernel (products with Grid.diff_matrix) against the transform form."""
+
+    def test_residual_matches_transform_form(self, line_path_case):
+        state, params, dt, system, c, _ = line_path_case
+        grid = state.grid
+        c_old = np.stack((state.p.values, state.n.values))
+        m = mobility(c_old, dt, params.kappa, params.diffusion)
+        ux, uy = state.u.x_comp.values, state.u.y_comp.values
+        conv = np.stack([grid.div(ci * ux, ci * uy) for ci in c_old])
+        expected = ((c - c_old) / dt + conv
+                    - transform_flux_div(grid, params, m, np.log(c), c[0] - c[1]))
+        ours = system.residual(c)
+        assert np.linalg.norm(ours - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_jacobian_matches_transform_form(self, line_path_case):
+        state, params, dt, system, c, dc = line_path_case
+        c_old = np.stack((state.p.values, state.n.values))
+        m = mobility(c_old, dt, params.kappa, params.diffusion)
+        expected = dc / dt - transform_flux_div(state.grid, params, m, dc / c, dc[0] - dc[1])
+        ours = system.jacobian_action(c, dc)
+        assert np.linalg.norm(ours - expected) <= 1e-13 * np.linalg.norm(expected)
+
 
 class TestGmres:
     @pytest.fixture
@@ -359,15 +420,6 @@ class TestGmres:
         assert info > 0
 
 
-def contrast_state(grid, rng, log_range=12.0):
-    """Previous state at rest whose concentrations span a contrast of about e^log_range."""
-    p, n = (np.exp(band_limited(grid, rng, amplitude=0.5 * log_range)) for _ in range(2))
-    n *= p.sum() / n.sum()
-    zero = ScalarField.constant(grid, 0.0)
-    return SimState(p=ScalarField(grid, p), n=ScalarField(grid, n), psi=zero,
-                    u=VectorField.zero(grid), phi=zero.copy())
-
-
 def dense_log_operator(grid, s, m):
     """A = diag(s) - div(m grad .) as a dense matrix, column by column through Grid ops."""
     n = grid.n_modes
@@ -412,6 +464,8 @@ class TestLinePreconditioner:
         ours = pnp._invert_spd(stack.copy())
         for block, ref in zip(ours, expected):
             assert np.linalg.norm(block - ref) <= 1e-12 * np.linalg.norm(ref)
+        for k in (0, 2):  # Cholesky inverses are mirrored from their upper triangle
+            assert np.array_equal(ours[k], ours[k].T)
 
     def test_preconditioner_is_two_line_sweeps(self, grid8, rng):
         n = grid8.n_modes
@@ -485,10 +539,11 @@ class TestFunctional:
     def test_solution_certifies_minimum(self, grid8, rng):
         state = admissible_state(grid8, rng)
         params = PhysParams()
-        cfg = SchemeConfig(n_modes=8, dt=0.05, t_final=0.05,
-                           track_functional=True)
+        cfg = SchemeConfig(n_modes=8, dt=0.05, t_final=0.05)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.j_final <= result.j_initial + 1e-12 * abs(result.j_initial)
+        j_initial = functional_value(state, state.p, state.n, params, cfg.dt)
+        j_final = functional_value(state, result.p_new, result.n_new, params, cfg.dt)
+        assert j_final <= j_initial + 1e-12 * abs(j_initial)
         # local-minimum certificate against admissible perturbations
         for k in range(20):
             prng = np.random.default_rng(3000 + k)
@@ -497,7 +552,7 @@ class TestFunctional:
             trial_p = ScalarField(grid8, result.p_new.values + (dp - dp.mean()))
             trial_n = ScalarField(grid8, result.n_new.values + (dn - dn.mean()))
             j_trial = functional_value(state, trial_p, trial_n, params, cfg.dt)
-            assert result.j_final <= j_trial + 1e-10 * abs(j_trial)
+            assert j_final <= j_trial + 1e-10 * abs(j_trial)
 
 
 class TestSolveStep1:
