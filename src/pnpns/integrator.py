@@ -29,11 +29,16 @@ from .state import (
 
 
 class ForcingTerms(Protocol):
-    """External sources for manufactured-solution runs."""
+    """External sources for manufactured-solution runs, at time t on the grid.
 
-    def ion_sources(self, t: float, grid: Grid) -> tuple[ScalarField, ScalarField]: ...
+    ion_sources returns the stacked (2, N, N) sources of the p and n
+    equations, momentum_source the (2, N, N) source of the momentum
+    equation, (x, y) components on axis 0.
+    """
 
-    def momentum_source(self, t: float, grid: Grid) -> VectorField: ...
+    def ion_sources(self, t: float, grid: Grid) -> np.ndarray: ...
+
+    def momentum_source(self, t: float, grid: Grid) -> np.ndarray: ...
 
 
 @dataclass
@@ -85,7 +90,7 @@ def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
     px, py = grid.project_div_free(u.x_comp.values, u.y_comp.values)
     u = VectorField.from_arrays(grid, px, py)
 
-    psi = compute_psi(p, n, params.epsilon)
+    psi = ScalarField(grid, compute_psi(grid, p.values, n.values, params.epsilon))
 
     if phi_in is None:
         phi = ScalarField.constant(grid, 0.0)
@@ -114,19 +119,24 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         ion_src = sources.ion_sources(t_new, grid)
         momentum_src = sources.momentum_source(t_new, grid)
 
+    # the previous state unwrapped once for the fluid layers (solve_step1 reads the state)
+    c_old = np.stack((state.p.values, state.n.values))
+    u_old = np.stack((state.u.x_comp.values, state.u.y_comp.values))
     try:
         step1 = solve_step1(state, params, dt, cfg, sources=ion_src)
-        forcing = ion_forcing(state.p, state.n, step1.mu_new, step1.nu_new, params.kappa)
-        vel = velocity_step(state.u, state.phi, forcing, momentum_src,
+        forcing = ion_forcing(grid, c_old, step1.mu, params.kappa)
+        vel = velocity_step(grid, u_old, state.phi.values, forcing, momentum_src,
                             params, dt, cfg)
     except NoConvergenceError as exc:
         raise NoConvergenceError(
             f"step {state.step_index + 1} (t={t_new:g}) failed: {exc.bare_message}",
             exc.iterations, exc.residual) from exc
 
+    # the one place a step wraps its arrays into containers
     new_state = SimState(
-        p=step1.p_new, n=step1.n_new, psi=step1.psi_new,
-        u=vel.u_new, phi=vel.phi_new,
+        p=ScalarField(grid, step1.c[0]), n=ScalarField(grid, step1.c[1]),
+        psi=ScalarField(grid, step1.psi),
+        u=VectorField.from_arrays(grid, *vel.u_new), phi=ScalarField(grid, vel.phi_new),
         step_index=state.step_index + 1, time=t_new,
         line_ref=step1.line_ref, line_age=step1.line_age,
     )

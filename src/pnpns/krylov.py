@@ -45,8 +45,9 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
     A is a callable on flat vectors. callback, when given, is called once
     per inner iteration with the relative residual estimate
     ||b - A x_k|| / ||b||.
-    callback_type exists for call compatibility with scipy's gmres; only
-    "pr_norm" (or None) is accepted, and it means the estimate above.
+    callback_type is accepted because perfbench's tracer (perfbench/tracing.py)
+    passes callback_type="pr_norm" when it wraps pnp.gmres; only "pr_norm"
+    (or None) is accepted, and it means the estimate above.
 
     Returns (x, info): info = 0 when a cycle's residual estimate, or the
     true residual ||b - A x|| formed at the end of an unconverged cycle,

@@ -134,14 +134,13 @@ class MMSCase:
         return p, n, u, pressure, psi
 
     # -- ForcingTerms protocol -------------------------------------------------
-    def ion_sources(self, t: float, grid: Grid) -> tuple[ScalarField, ScalarField]:
-        f_p = ScalarField(grid, self._eval("f_p", grid, t))
-        f_n = ScalarField(grid, self._eval("f_n", grid, t))
-        return f_p, f_n
+    def ion_sources(self, t: float, grid: Grid) -> np.ndarray:
+        """The stacked (2, N, N) sources (f_p, f_n) of the ion equations."""
+        return np.stack((self._eval("f_p", grid, t), self._eval("f_n", grid, t)))
 
-    def momentum_source(self, t: float, grid: Grid) -> VectorField:
-        return VectorField.from_arrays(grid, self._eval("f_u1", grid, t),
-                                       self._eval("f_u2", grid, t))
+    def momentum_source(self, t: float, grid: Grid) -> np.ndarray:
+        """The (2, N, N) source (f_u1, f_u2) of the momentum equation."""
+        return np.stack((self._eval("f_u1", grid, t), self._eval("f_u2", grid, t)))
 
     # -- state construction ------------------------------------------------------
     def initial_state(self, cfg: SchemeConfig, t: float = 0.0):

@@ -17,6 +17,10 @@ onto the discretely divergence-free space through a pressure increment:
 
 On the torus the projection is a direct spectral solve, exact up to
 roundoff, so no iteration count is attached to it.
+
+Every function takes the grid plus plain arrays: a velocity, a forcing or a
+source is one (2, N, N) stack with the x and y components on axis 0, phi an
+(N, N) array. Transforms still run per component, one call each.
 """
 
 from __future__ import annotations
@@ -27,56 +31,52 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import NoConvergenceError
-from .spectral import Grid, ScalarField, VectorField, _require_same_grid
+from .spectral import Grid
 from .state import PhysParams, SchemeConfig
 
 
 @dataclass
 class VelocityResult:
-    """Outcome of one fluid step (intermediate + projected velocity)."""
+    """Outcome of one fluid step: the projected (2, N, N) velocity and phi_new."""
 
-    u_tilde: VectorField
-    u_new: VectorField
-    phi_new: ScalarField
+    u_new: np.ndarray
+    phi_new: np.ndarray
     krylov_iters: int
     residual: float
 
 
-def ion_forcing(p_m: ScalarField, n_m: ScalarField, mu_new: ScalarField,
-                nu_new: ScalarField, kappa: float) -> VectorField:
-    """Electric body force -kappa (p grad mu + n grad nu) on the fluid.
+def ion_forcing(grid: Grid, c: np.ndarray, mu: np.ndarray, kappa: float) -> np.ndarray:
+    """Electric body force -kappa (p grad mu_p + n grad mu_n) on the fluid, as a (2, N, N) stack.
 
-    Uses the previous concentrations against the freshly solved chemical
-    potentials; this pairing is what makes the split scheme's energy budget
-    close.
+    c is the stacked previous concentrations (p, n) and mu the freshly
+    solved chemical potentials; this pairing is what makes the split
+    scheme's energy budget close.
     """
-    grid = _require_same_grid(p_m, n_m, mu_new, nu_new)
-    mx, my = grid.grad(mu_new.values)
-    nx, ny = grid.grad(nu_new.values)
-    fx = -kappa * (p_m.values * mx + n_m.values * nx)
-    fy = -kappa * (p_m.values * my + n_m.values * ny)
-    return VectorField.from_arrays(grid, fx, fy)
+    p, n = c
+    mx, my = grid.grad(mu[0])
+    nx, ny = grid.grad(mu[1])
+    return -kappa * np.stack((p * mx + n * nx, p * my + n * ny))
 
 
-def advect_diffuse_product(grid: Grid, ux: np.ndarray, uy: np.ndarray,
-                           symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
+def advect_diffuse_product(grid: Grid, u: np.ndarray, symbol: np.ndarray,
+                           v: np.ndarray) -> np.ndarray:
     """(1/dt + u.grad - nu lap) S v, with S = (1/dt - nu lap)^{-1} of spectral symbol `symbol`.
 
-    Since (1/dt - nu lap) S = I the product is v + u.grad(S v): one forward
-    and two inverse transforms, and S v itself is never formed.
+    u is the (2, N, N) advecting velocity. Since (1/dt - nu lap) S = I the
+    product is v + u.grad(S v): one forward and two inverse transforms, and
+    S v itself is never formed.
     """
-    return v + _convection(grid, ux, uy, symbol * grid.rfft(v))
+    return v + _convection(grid, u, symbol * grid.rfft(v))
 
 
-def _convection(grid: Grid, ux: np.ndarray, uy: np.ndarray, spec: np.ndarray) -> np.ndarray:
+def _convection(grid: Grid, u: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """u.grad f for the field f whose half spectrum is spec."""
     gx, gy = grid.grad_spectrum(spec)
-    return ux * gx + uy * gy
+    return u[0] * gx + u[1] * gy
 
 
-def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
-                          rhs: np.ndarray, viscosity: float, dt: float,
-                          tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
+def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, viscosity: float,
+                          dt: float, tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
     """Solve (1/dt + u.grad - nu lap) w = rhs for one scalar component.
 
     Matrix-free BiCGStab, right-preconditioned with the constant-coefficient
@@ -96,71 +96,59 @@ def _advect_diffuse_solve(grid: Grid, ux: np.ndarray, uy: np.ndarray,
     def matvec(vec: np.ndarray) -> np.ndarray:
         nonlocal applications
         applications += 1
-        return advect_diffuse_product(grid, ux, uy, symbol, vec.reshape(shape)).ravel()
+        return advect_diffuse_product(grid, u, symbol, vec.reshape(shape)).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
     y, info = bicgstab(op, rhs.ravel(), rtol=tol, atol=0.0, maxiter=max_iter)
     y = y.reshape(shape)
     # w = S y, and A w - rhs = y + u.grad(w) - rhs: both from one spectrum
     spec = symbol * grid.rfft(y)
-    residual = grid.norm(y + _convection(grid, ux, uy, spec) - rhs) / rhs_norm
+    residual = grid.norm(y + _convection(grid, u, spec) - rhs) / rhs_norm
     if info != 0:
         raise NoConvergenceError("velocity solve stalled", applications, residual)
     return grid.irfft(spec), applications, residual
 
 
-def solve_velocity(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
-                   extra_source: VectorField | None, params: PhysParams,
-                   dt: float, cfg: SchemeConfig) -> tuple[VectorField, int, float]:
+def solve_velocity(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.ndarray,
+                   extra_source: np.ndarray | None, params: PhysParams,
+                   dt: float, cfg: SchemeConfig) -> tuple[np.ndarray, int, float]:
     """Step-2 intermediate velocity (see module docstring).
 
-    Returns (u_tilde, operator applications, worst relative residual of the
-    two component solves).
+    u_m, forcing and extra_source are (2, N, N) stacks, phi_m an (N, N)
+    array. Returns (u_tilde as a (2, N, N) stack, operator applications,
+    worst relative residual of the two component solves).
     """
-    grid = u_m.grid
-    gx, gy = grid.grad(phi_m.values)
-    rhs_x = u_m.x_comp.values / dt - gx + forcing.x_comp.values
-    rhs_y = u_m.y_comp.values / dt - gy + forcing.y_comp.values
+    rhs = u_m / dt - np.stack(grid.grad(phi_m)) + forcing
     if extra_source is not None:
-        rhs_x = rhs_x + extra_source.x_comp.values
-        rhs_y = rhs_y + extra_source.y_comp.values
-
-    ux = u_m.x_comp.values
-    uy = u_m.y_comp.values
-    wx, it_x, res_x = _advect_diffuse_solve(grid, ux, uy, rhs_x, params.viscosity,
-                                            dt, cfg.krylov_tol, cfg.krylov_max_iter)
-    wy, it_y, res_y = _advect_diffuse_solve(grid, ux, uy, rhs_y, params.viscosity,
-                                            dt, cfg.krylov_tol, cfg.krylov_max_iter)
-    return VectorField.from_arrays(grid, wx, wy), it_x + it_y, max(res_x, res_y)
+        rhs = rhs + extra_source
+    w, iters, residuals = zip(*(_advect_diffuse_solve(grid, u_m, r, params.viscosity, dt,
+                                                      cfg.krylov_tol, cfg.krylov_max_iter)
+                                for r in rhs))
+    return np.stack(w), sum(iters), max(residuals)
 
 
-def project_velocity(u_tilde: VectorField, phi_m: ScalarField,
-                     dt: float) -> tuple[VectorField, ScalarField]:
-    """Step-3 pressure correction: returns the solenoidal velocity and phi_new.
+def project_velocity(grid: Grid, u_tilde: np.ndarray, phi_m: np.ndarray,
+                     dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step-3 pressure correction: returns the solenoidal (2, N, N) velocity and phi_new.
 
     The pressure increment solves lap(dphi) = div(u~)/dt with zero mean; the
     Poisson inverse is built from the same Nyquist-zeroed wavenumbers as the
     derivatives, which makes div(u_new) vanish identically for any input.
     """
-    grid = u_tilde.grid
-    sx = grid.rfft(u_tilde.x_comp.values)
-    sy = grid.rfft(u_tilde.y_comp.values)
+    sx = grid.rfft(u_tilde[0])
+    sy = grid.rfft(u_tilde[1])
     div_spec = grid._ikx * sx + grid._iky * sy
     dphi_spec = -div_spec * grid._inv_k2_grad / dt  # lap dphi = div(u~)/dt
-    u_new_x = grid.irfft(sx - dt * grid._ikx * dphi_spec)
-    u_new_y = grid.irfft(sy - dt * grid._iky * dphi_spec)
-    dphi = grid.irfft(dphi_spec)
-    phi_new = phi_m.values + dphi
-    return (VectorField.from_arrays(grid, u_new_x, u_new_y),
-            ScalarField(grid, phi_new))
+    u_new = np.stack((grid.irfft(sx - dt * grid._ikx * dphi_spec),
+                      grid.irfft(sy - dt * grid._iky * dphi_spec)))
+    return u_new, phi_m + grid.irfft(dphi_spec)
 
 
-def velocity_step(u_m: VectorField, phi_m: ScalarField, forcing: VectorField,
-                  extra_source: VectorField | None, params: PhysParams,
+def velocity_step(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.ndarray,
+                  extra_source: np.ndarray | None, params: PhysParams,
                   dt: float, cfg: SchemeConfig) -> VelocityResult:
-    """Run Steps 2 and 3 together."""
-    u_tilde, iters, residual = solve_velocity(u_m, phi_m, forcing, extra_source,
+    """Run Steps 2 and 3 together on arrays (solve_velocity, then project_velocity)."""
+    u_tilde, iters, residual = solve_velocity(grid, u_m, phi_m, forcing, extra_source,
                                               params, dt, cfg)
-    u_new, phi_new = project_velocity(u_tilde, phi_m, dt)
-    return VelocityResult(u_tilde=u_tilde, u_new=u_new, phi_new=phi_new,
-                          krylov_iters=iters, residual=residual)
+    u_new, phi_new = project_velocity(grid, u_tilde, phi_m, dt)
+    return VelocityResult(u_new=u_new, phi_new=phi_new, krylov_iters=iters, residual=residual)

@@ -73,7 +73,10 @@ The unknown is one C-contiguous (2, N, N) array with the species on axis 0,
 so its ravel is the Krylov vector itself. Reductions and transforms run per
 species slice, and numpy multiplies a stack by a matrix slice by slice,
 which keeps every result bit for bit equal to the species-by-species
-computation.
+computation. The step speaks arrays at its boundary too: solve_step1 reads
+the previous SimState and takes the sources as one (2, N, N) stack, and its
+Step1Result carries the new concentrations, psi and mu as arrays, which
+only integrator.advance wraps into the next state.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from .errors import (
     NonZeroMeanError,
 )
 from .krylov import gmres
-from .spectral import Grid, ScalarField
+from .spectral import Grid
 from .state import PhysParams, SchemeConfig, SimState
 
 #: species names and valences along axis 0 of a stacked (2, N, N) array
@@ -148,19 +151,19 @@ BOUNDARY_FRACTION = 0.1
 class Step1Result:
     """Outcome of one ion-transport solve.
 
-    krylov_iters and krylov_iters_max are the sum and the largest, over the
-    Newton iterations, of the Krylov products J P each GMRES solve applied:
-    one per GMRES iteration, plus one explicit residual per restart cycle
-    that ends unconverged (none for a solve that converges in its first
-    cycle).
+    c is the stacked (2, N, N) new concentrations (p, n), psi the potential
+    and mu the stacked chemical potentials (ln p + psi, ln n - psi), all at
+    the solution. krylov_iters and krylov_iters_max are the sum and the
+    largest, over the Newton iterations, of the Krylov products J P each
+    GMRES solve applied: one per GMRES iteration, plus one explicit residual
+    per restart cycle that ends unconverged (none for a solve that converges
+    in its first cycle).
     line_ref and line_age are the next state's (SimState).
     """
 
-    p_new: ScalarField
-    n_new: ScalarField
-    psi_new: ScalarField
-    mu_new: ScalarField
-    nu_new: ScalarField
+    c: np.ndarray
+    psi: np.ndarray
+    mu: np.ndarray
     newton_iters: int
     krylov_iters: int
     krylov_iters_max: int
@@ -169,16 +172,12 @@ class Step1Result:
     line_age: int
 
 
-def compute_psi(p: ScalarField, n: ScalarField, epsilon: float) -> ScalarField:
+def compute_psi(grid: Grid, p: np.ndarray, n: np.ndarray, epsilon: float) -> np.ndarray:
     """Electric potential from the charge density: -eps lap psi = p - n.
 
     Solvable only for a neutral state: a net charge above 1e-10 of the ion
     masses raises NetChargeError.
     """
-    return ScalarField(p.grid, _psi(p.grid, p.values, n.values, epsilon))
-
-
-def _psi(grid: Grid, p: np.ndarray, n: np.ndarray, epsilon: float) -> np.ndarray:
     # the charge's mean carries the roundoff of p and n, not of p - n, so it
     # is judged against the ion masses: a near-neutral state passes
     masses = grid.integral(np.abs(p)) + grid.integral(np.abs(n))
@@ -329,7 +328,7 @@ class Step1System:
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
-                 sources: tuple[np.ndarray, np.ndarray] | None = None):
+                 sources: np.ndarray | None = None):
         grid = prev.grid
         self.grid = grid
         self.params = params
@@ -345,7 +344,7 @@ class Step1System:
         self.conv = np.stack([grid.div(c * ux, c * uy) for c in self.c_prev])
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
         self._inv_eps_k2 = grid._inv_k2 / params.epsilon
-        self.source = None if sources is None else np.stack(sources)
+        self.source = sources
 
         self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
         self.line_ref, self.line_age = None, 0
@@ -373,7 +372,7 @@ class Step1System:
         The one place both are formed in physical space; a net charge raises NetChargeError.
         """
         _require_positive(c)
-        psi = _psi(self.grid, c[0], c[1], self.params.epsilon)
+        psi = compute_psi(self.grid, c[0], c[1], self.params.epsilon)
         return psi, np.log(c) + VALENCE * psi
 
     def _flux_div(self, f: np.ndarray, charge: np.ndarray) -> np.ndarray:
@@ -503,31 +502,27 @@ class Step1System:
         return float(total)
 
 
-def functional_value(prev: SimState, cand_p: ScalarField, cand_n: ScalarField,
-                     params: PhysParams, dt: float) -> float:
-    """The step's convex objective (Step1System.objective) at (cand_p, cand_n)."""
-    return Step1System(prev, params, dt).objective(np.stack((cand_p.values, cand_n.values)))
-
-
 def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig,
-                sources: tuple[ScalarField, ScalarField] | None = None) -> Step1Result:
+                sources: np.ndarray | None = None) -> Step1Result:
     """Newton-Krylov solve of the coupled ion-transport step.
 
-    Converges when the stacked residual norm drops below
-    newton_tol * (1 + ||(p_old, n_old)||). The Newton update is projected to
-    zero mean so both masses are conserved to roundoff by construction; the
-    fraction-to-boundary rule keeps all iterates strictly positive. The
-    inner GMRES tolerance follows the forcing rule of the module docstring.
+    sources, when given, is the stacked (2, N, N) source of the two ion
+    equations. Converges when the stacked residual norm drops below
+    newton_tol * (1 + ||(p_old, n_old)||); a first residual that is not
+    finite, as a non-finite source gives, raises NoConvergenceError. The
+    Newton update is projected to zero mean so both masses are conserved to
+    roundoff by construction; the fraction-to-boundary rule keeps all
+    iterates strictly positive. The inner GMRES tolerance follows the
+    forcing rule of the module docstring.
     """
-    src = None
-    if sources is not None:
-        src = (sources[0].values, sources[1].values)
-    system = Step1System(prev, params, dt, src)
+    system = Step1System(prev, params, dt, sources)
     grid = prev.grid
 
     c = system.c_prev.copy()
     r = system.residual(c)
     res = system.norm(r)
+    if not math.isfinite(res):
+        raise NoConvergenceError("ion-transport residual is not finite", 0, res)
     threshold = cfg.newton_tol * (1.0 + system.norm(system.c_prev))
     iters = 0
     products = []  # Krylov products per Newton iteration
@@ -577,11 +572,9 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
             raise MassMismatchError(f"step lost {name}-mass: drift {drift:.3e}")
 
     return Step1Result(
-        p_new=ScalarField(grid, c[0]),
-        n_new=ScalarField(grid, c[1]),
-        psi_new=ScalarField(grid, psi),
-        mu_new=ScalarField(grid, mu[0]),
-        nu_new=ScalarField(grid, mu[1]),
+        c=c,
+        psi=psi,
+        mu=mu,
         newton_iters=iters,
         krylov_iters=sum(products),
         krylov_iters_max=max(products, default=0),

@@ -306,23 +306,6 @@ class VectorField:
     def zero(cls, grid: Grid) -> "VectorField":
         return cls.from_arrays(grid, np.zeros((grid.n_modes,) * 2), np.zeros((grid.n_modes,) * 2))
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.x_comp.copy(), self.y_comp.copy())
-
-
-def vector_norm(v: VectorField) -> float:
-    g = v.grid
-    return float(np.sqrt(g.inner(v.x_comp.values, v.x_comp.values)
-                         + g.inner(v.y_comp.values, v.y_comp.values)))
-
-
-def _require_same_grid(*fields) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("fields live on different grids")
-    return grid
-
 
 def _check_mobility(m_values: np.ndarray) -> None:
     m_min = m_values.min()

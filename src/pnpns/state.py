@@ -72,6 +72,13 @@ class SimState:
     next ion step's line preconditioner is built, and line_age the number of
     steps that have used it (None and 0 when the last step took the
     spectral path, or none was taken); the array is never written to.
+
+    The step layers below integrator.advance work on arrays; the fields stay
+    ScalarField/VectorField containers here, at the public boundary, because
+    perfbench's fields_bytes (perfbench/run.py) compares a state by the
+    .values of its containers and a bare array only through its repr, which
+    numpy shortens. Holding arrays waits for a benchmark change that compares
+    them whole.
     """
 
     p: ScalarField
@@ -107,10 +114,6 @@ class EnergyBreakdown:
     kinetic: float
     pressure_aug: float
     total: float
-
-    def recompute_total(self, kappa: float) -> float:
-        return (kappa * (self.entropy_p + self.entropy_n + self.field)
-                + self.kinetic + self.pressure_aug)
 
 
 @dataclass

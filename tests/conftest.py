@@ -85,7 +85,7 @@ def admissible_state(grid: Grid, rng, wobble: float = 0.3,
     n_vals += p_vals.mean() - n_vals.mean()  # equal masses
     p = ScalarField(grid, p_vals)
     n = ScalarField(grid, n_vals)
-    psi = compute_psi(p, n, 1.0)
+    psi = ScalarField(grid, compute_psi(grid, p_vals, n_vals, 1.0))
     ux, uy = div_free_velocity(grid, rng, amplitude=speed)
     u = VectorField.from_arrays(grid, ux, uy)
     phi_vals = band_limited(grid, rng, amplitude=0.2)

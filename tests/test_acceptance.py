@@ -16,8 +16,8 @@ from pnpns import mms
 from pnpns.config import blob_concentration
 from pnpns.integrator import advance, initialize, run
 from pnpns.ns import project_velocity
-from pnpns.pnp import Step1System, functional_value, solve_step1
-from pnpns.spectral import ScalarField, VectorField, make_grid, vector_norm
+from pnpns.pnp import Step1System, solve_step1
+from pnpns.spectral import make_grid
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 from conftest import admissible_state, band_limited, contrast_state, positive_field
@@ -140,10 +140,10 @@ def test_criterion_3_step1_mass_and_positivity():
         rng = np.random.default_rng(60_000 + trial)
         state = admissible_state(grid, rng)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.p_new.values.min() > 0.0
-        assert result.n_new.values.min() > 0.0
-        drift = max(abs(mass(result.p_new) - mass(state.p)) / mass(state.p),
-                    abs(mass(result.n_new) - mass(state.n)) / mass(state.n))
+        assert result.c[0].min() > 0.0
+        assert result.c[1].min() > 0.0
+        drift = max(abs(grid.integral(result.c[0]) - mass(state.p)) / mass(state.p),
+                    abs(grid.integral(result.c[1]) - mass(state.n)) / mass(state.n))
         worst_drift = max(worst_drift, drift)
         assert drift <= 1e-11
     _report("3 step-1 mass/positivity (100 trials)",
@@ -155,24 +155,21 @@ def test_criterion_3_functional_convexity_and_certificate():
     params = PhysParams()
     dt = 0.05
 
-    def perturb(state, rng, amp):
+    def perturb(c, rng, amp):
         dp = band_limited(grid, rng, kmax=3, amplitude=amp)
         dn = band_limited(grid, rng, kmax=3, amplitude=amp)
-        return (ScalarField(grid, state.p.values + (dp - dp.mean())),
-                ScalarField(grid, state.n.values + (dn - dn.mean())))
+        return c + np.stack((dp - dp.mean(), dn - dn.mean()))
 
     for trial in range(100):
         rng = np.random.default_rng(70_000 + trial)
         state = admissible_state(grid, rng)
-        a_p, a_n = perturb(state, rng, 0.25)
-        b_p, b_n = perturb(state, rng, 0.25)
-        j_a = functional_value(state, a_p, a_n, params, dt)
-        j_b = functional_value(state, b_p, b_n, params, dt)
-        j_mid = functional_value(
-            state,
-            ScalarField(grid, 0.5 * (a_p.values + b_p.values)),
-            ScalarField(grid, 0.5 * (a_n.values + b_n.values)),
-            params, dt)
+        objective = Step1System(state, params, dt).objective
+        c = np.stack((state.p.values, state.n.values))
+        a = perturb(c, rng, 0.25)
+        b = perturb(c, rng, 0.25)
+        j_a = objective(a)
+        j_b = objective(b)
+        j_mid = objective(0.5 * (a + b))
         assert j_mid <= 0.5 * (j_a + j_b) + 1e-10
 
     cfg = SchemeConfig(n_modes=8, dt=dt, t_final=dt)
@@ -180,14 +177,13 @@ def test_criterion_3_functional_convexity_and_certificate():
         rng = np.random.default_rng(80_000 + trial)
         state = admissible_state(grid, rng)
         result = solve_step1(state, params, cfg.dt, cfg)
-        j_initial = functional_value(state, state.p, state.n, params, dt)
-        j_final = functional_value(state, result.p_new, result.n_new, params, dt)
+        system = Step1System(state, params, dt)
+        j_initial = system.objective(system.c_prev)
+        j_final = system.objective(result.c)
         assert j_final <= j_initial + 1e-12 * abs(j_initial)
         for k in range(3):
             prng = np.random.default_rng(90_000 + 100 * trial + k)
-            t_p, t_n = perturb(
-                type("S", (), {"p": result.p_new, "n": result.n_new})(), prng, 0.02)
-            j_trial = functional_value(state, t_p, t_n, params, dt)
+            j_trial = system.objective(perturb(result.c, prng, 0.02))
             assert j_final <= j_trial + 1e-10 * abs(j_trial)
     _report("3 functional convexity + minimizer certificate (100+100 trials)")
 
@@ -197,25 +193,24 @@ def test_criterion_3_projection_invariants():
     dt = 0.07
     for trial in range(100):
         rng = np.random.default_rng(100_000 + trial)
-        u_tilde = VectorField.from_arrays(grid, rng.standard_normal((8, 8)),
-                                          rng.standard_normal((8, 8)))
+        u_tilde = np.stack((rng.standard_normal((8, 8)), rng.standard_normal((8, 8))))
         phi_vals = band_limited(grid, rng, amplitude=0.4)
-        phi = ScalarField(grid, phi_vals - phi_vals.mean())
-        u_new, phi_new = project_velocity(u_tilde, phi, dt)
+        phi = phi_vals - phi_vals.mean()
+        u_new, phi_new = project_velocity(grid, u_tilde, phi, dt)
 
-        div_norm = grid.norm(grid.div(u_new.x_comp.values, u_new.y_comp.values))
-        assert div_norm <= 1e-11 * max(1.0, vector_norm(u_new))
+        div_norm = grid.norm(grid.div(u_new[0], u_new[1]))
+        assert div_norm <= 1e-11 * max(1.0, grid.norm(u_new))
 
-        again_u, again_phi = project_velocity(u_new, phi_new, dt)
-        assert np.abs(again_u.x_comp.values - u_new.x_comp.values).max() <= 1e-12
-        assert np.abs(again_u.y_comp.values - u_new.y_comp.values).max() <= 1e-12
-        assert np.abs(again_phi.values - phi_new.values).max() <= 1e-12
+        again_u, again_phi = project_velocity(grid, u_new, phi_new, dt)
+        assert np.abs(again_u[0] - u_new[0]).max() <= 1e-12
+        assert np.abs(again_u[1] - u_new[1]).max() <= 1e-12
+        assert np.abs(again_phi - phi_new).max() <= 1e-12
 
-        lhs = vector_norm(u_tilde) ** 2
-        dphi = phi_new.values - phi.values
+        lhs = grid.norm(u_tilde) ** 2
+        dphi = phi_new - phi
         gx, gy = grid.grad(dphi)
-        rhs = vector_norm(u_new) ** 2 + dt * dt * (grid.inner(gx, gx)
-                                                   + grid.inner(gy, gy))
+        rhs = grid.norm(u_new) ** 2 + dt * dt * (grid.inner(gx, gx)
+                                                 + grid.inner(gy, gy))
         assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1.0)
     _report("3 projection idempotence/divergence/Pythagoras (100 trials)")
 
@@ -321,7 +316,7 @@ def test_criterion_5_uniform_rest_state():
     assert np.abs(final.n.values - p0).max() <= 1e-11
     assert np.abs(final.psi.values).max() <= 1e-11
     assert np.abs(final.phi.values).max() <= 1e-11
-    assert vector_norm(final.u) <= 1e-11
+    assert final.grid.norm(np.stack((final.u.x_comp.values, final.u.y_comp.values))) <= 1e-11
     for diag in record.diagnostics:
         assert abs(diag.energy.total - e0) <= 1e-12 * abs(e0)
     _report("5 trivial steady state",

@@ -7,13 +7,17 @@ import weakref
 import numpy as np
 import pytest
 
-from pnpns import mms, pnp
+from pnpns import integrator, mms, ns, pnp
 from pnpns.config import blob_concentration
-from pnpns.errors import ConfigError, NetChargeError, NonPositiveConcentrationError
+from pnpns.errors import (
+    ConfigError,
+    NetChargeError,
+    NoConvergenceError,
+    NonPositiveConcentrationError,
+)
 from pnpns.integrator import advance, initialize, run
 from pnpns.pnp import Step1System
 from pnpns.snapshot import read_snapshot, write_snapshot
-from pnpns.spectral import vector_norm
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 TWO_PI = 2.0 * np.pi
@@ -33,7 +37,8 @@ class TestInitialize:
             np.stack((state.p.values, state.n.values)))
         assert np.abs(mu[0]).max() <= 1e-14
         assert np.abs(mu[1]).max() <= 1e-14
-        assert vector_norm(state.u) == 0.0
+        assert np.abs(state.u.x_comp.values).max() == 0.0
+        assert np.abs(state.u.y_comp.values).max() == 0.0
         assert np.abs(state.phi.values).max() == 0.0
 
     def test_blob_preset(self):
@@ -66,8 +71,8 @@ class TestInitialize:
                            (rng.standard_normal((16, 16)), rng.standard_normal((16, 16))),
                            PhysParams(), cfg)
         grid = state.grid
-        div_norm = grid.norm(grid.div(state.u.x_comp.values, state.u.y_comp.values))
-        assert div_norm <= 1e-11 * max(1.0, vector_norm(state.u))
+        u = np.stack((state.u.x_comp.values, state.u.y_comp.values))
+        assert grid.norm(grid.div(*u)) <= 1e-11 * max(1.0, grid.norm(u))
 
     def test_rejects_net_charge(self):
         cfg = uniform_cfg()
@@ -99,7 +104,7 @@ class TestAdvance:
         new, diag = advance(state, params, cfg)
         assert np.abs(new.p.values - state.p.values).max() <= 1e-12
         assert np.abs(new.n.values - state.n.values).max() <= 1e-12
-        assert vector_norm(new.u) <= 1e-12
+        assert new.grid.norm(np.stack((new.u.x_comp.values, new.u.y_comp.values))) <= 1e-12
         assert diag.newton_iters == 0
 
     def test_blob_step_dissipates_energy(self):
@@ -120,8 +125,8 @@ class TestAdvance:
         state = case.initial_state(cfg, t=0.4)
         new, _ = advance(state, params, cfg, sources=case)
         grid = new.grid
-        div_norm = grid.norm(grid.div(new.u.x_comp.values, new.u.y_comp.values))
-        assert div_norm <= 1e-11 * max(1.0, vector_norm(new.u))
+        u = np.stack((new.u.x_comp.values, new.u.y_comp.values))
+        assert grid.norm(grid.div(*u)) <= 1e-11 * max(1.0, grid.norm(u))
 
 
 class TestRun:
@@ -349,3 +354,106 @@ class TestLineFactorReuse:
             (blob.p.values, blob.n.values)), line_age=2)
         after, _ = advance(state, params, cfg, sources=case)
         assert after.line_ref is None and after.line_age == 0
+
+
+class NanSource:
+    """An MMS case whose ion or momentum source holds one NaN cell."""
+
+    def __init__(self, case, poisoned: str):
+        self.case = case
+        self.poisoned = poisoned
+
+    def ion_sources(self, t, grid):
+        return self._poison("ion_sources", t, grid)
+
+    def momentum_source(self, t, grid):
+        return self._poison("momentum_source", t, grid)
+
+    def _poison(self, name, t, grid):
+        out = getattr(self.case, name)(t, grid)
+        if name == self.poisoned:
+            out[0, 3, 5] = np.nan
+        return out
+
+
+class TestNonFiniteSources:
+    @staticmethod
+    def mms_step():
+        params = PhysParams()
+        cfg = uniform_cfg(n=16, dt=0.02, steps=1)
+        case = mms.make_case(params)
+        return case.initial_state(cfg), params, cfg, case
+
+    def test_nan_ion_source_is_no_convergence(self):
+        state, params, cfg, case = self.mms_step()
+        with pytest.raises(NoConvergenceError, match="residual is not finite") as failure:
+            advance(state, params, cfg, sources=NanSource(case, "ion_sources"))
+        assert failure.value.iterations == 0
+
+    def test_nan_momentum_source_is_no_convergence(self):
+        state, params, cfg, case = self.mms_step()
+        with pytest.raises(NoConvergenceError, match="velocity solve stalled"):
+            advance(state, params, cfg, sources=NanSource(case, "momentum_source"))
+
+
+#: the module attributes through which perfbench/tracing.py times each layer,
+#: besides pnp.gmres: a layer reached through them is traced, one called by a
+#: reference held elsewhere would not be
+LAYER_BOUNDARIES = (
+    (integrator, "advance"),
+    (integrator, "solve_step1"),
+    (integrator, "ion_forcing"),
+    (integrator, "velocity_step"),
+    (integrator, "total_energy"),
+    (ns, "project_velocity"),
+    (mms.MMSCase, "ion_sources"),
+    (mms.MMSCase, "momentum_source"),
+)
+
+
+def count_boundary_calls(monkeypatch) -> dict:
+    """Counting pass-through wrappers at every layer boundary; the calls by name."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in LAYER_BOUNDARIES:
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    gmres = pnp.gmres
+
+    def counting_gmres(*args, **kwargs):
+        calls["gmres"] = calls.get("gmres", 0) + 1
+        return gmres(*args, callback=lambda _estimate: None, callback_type="pr_norm", **kwargs)
+
+    monkeypatch.setattr(pnp, "gmres", counting_gmres)
+    return calls
+
+
+class TestLayerBoundaries:
+    @pytest.mark.parametrize("path", ["spectral", "line"])
+    def test_every_boundary_is_called_and_the_step_is_unchanged(self, path, monkeypatch):
+        if path == "spectral":
+            params = PhysParams()
+            cfg = uniform_cfg(n=16, dt=0.02, steps=1)
+            case = mms.make_case(params)
+            state = case.initial_state(cfg)
+        else:
+            state, params, cfg = blob_run(32, steps=1)
+            case = None
+        plain, plain_diag = advance(state, params, cfg, sources=case)
+
+        calls = count_boundary_calls(monkeypatch)
+        wrapped, wrapped_diag = integrator.advance(state, params, cfg, sources=case)
+
+        expected = {attr for _, attr in LAYER_BOUNDARIES} | {"gmres"}
+        if case is None:
+            expected -= {"ion_sources", "momentum_source"}
+        assert set(calls) == expected
+        assert (wrapped.line_ref is not None) == (path == "line")
+        assert_same_state(wrapped, plain)
+        assert (dataclasses.replace(wrapped_diag, wall_time_s=0.0)
+                == dataclasses.replace(plain_diag, wall_time_s=0.0))

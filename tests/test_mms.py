@@ -170,8 +170,7 @@ class TestForcing:
         fd_n = oracle.sample_at(oracle.f_n(t), grid)
         fd_ux, fd_uy = (oracle.sample_at(f, grid) for f in oracle.f_u(t))
 
-        for ours, ref in ((f_p.values, fd_p), (f_n.values, fd_n),
-                          (f_u.x_comp.values, fd_ux), (f_u.y_comp.values, fd_uy)):
+        for ours, ref in ((f_p, fd_p), (f_n, fd_n), (f_u[0], fd_ux), (f_u[1], fd_uy)):
             scale = max(np.abs(ref).max(), 1.0)
             assert np.abs(ours - ref).max() <= 1e-7 * scale
 
@@ -183,14 +182,14 @@ class TestForcing:
         t = 0.45
         advect, rest = oracle.ion_parts(t)
         f_p, _ = case.ion_sources(t, grid)
-        diff = f_p.values - oracle.sample_at(advect, grid) - oracle.sample_at(rest, grid)
+        diff = f_p - oracle.sample_at(advect, grid) - oracle.sample_at(rest, grid)
         assert np.abs(diff).max() <= 1e-7
 
     def test_sources_have_zero_mean(self, case, grid16):
         for t in (0.1, 0.6):
             f_p, f_n = case.ion_sources(t, grid16)
-            assert abs(grid16.integral(f_p.values)) <= 1e-12
-            assert abs(grid16.integral(f_n.values)) <= 1e-12
+            assert abs(grid16.integral(f_p)) <= 1e-12
+            assert abs(grid16.integral(f_n)) <= 1e-12
 
 
 class TestOneStepConsistency:

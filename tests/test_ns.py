@@ -11,7 +11,7 @@ from pnpns.ns import (
     solve_velocity,
     velocity_step,
 )
-from pnpns.spectral import ScalarField, VectorField, make_grid, vector_norm
+from pnpns.spectral import make_grid
 from pnpns.state import PhysParams, SchemeConfig
 
 from conftest import band_limited, div_free_velocity
@@ -24,50 +24,43 @@ def _cfg(n, dt=0.05):
 
 class TestIonForcing:
     def test_constant_potentials_give_zero(self, grid16, rng):
-        p = ScalarField(grid16, 1.0 + 0.3 * band_limited(grid16, rng))
-        n = ScalarField(grid16, 1.0 + 0.3 * band_limited(grid16, rng))
-        mu = ScalarField.constant(grid16, 0.7)
-        nu = ScalarField.constant(grid16, -0.2)
-        f = ion_forcing(p, n, mu, nu, kappa=3.0)
-        assert np.abs(f.x_comp.values).max() <= 1e-13
-        assert np.abs(f.y_comp.values).max() <= 1e-13
+        c = np.stack((1.0 + 0.3 * band_limited(grid16, rng),
+                      1.0 + 0.3 * band_limited(grid16, rng)))
+        mu = np.stack((np.full((16, 16), 0.7), np.full((16, 16), -0.2)))
+        f = ion_forcing(grid16, c, mu, kappa=3.0)
+        assert f.shape == (2, 16, 16)
+        assert np.abs(f[0]).max() <= 1e-13
+        assert np.abs(f[1]).max() <= 1e-13
 
     def test_uniform_electroneutral(self, grid16):
-        c = ScalarField.constant(grid16, 2.0)
-        log_c = ScalarField.constant(grid16, np.log(2.0))
-        f = ion_forcing(c, c.copy(), log_c, log_c.copy(), kappa=10.0)
-        assert np.abs(f.x_comp.values).max() <= 1e-13
+        c = np.full((2, 16, 16), 2.0)
+        f = ion_forcing(grid16, c, np.log(c), kappa=10.0)
+        assert np.abs(f[0]).max() <= 1e-13
 
     def test_single_species_gradient(self, grid16):
-        p = ScalarField.constant(grid16, 1.0)
-        n = ScalarField.constant(grid16, 1.0)
-        mu = ScalarField.from_function(grid16, lambda x, y: np.sin(x))
-        nu = ScalarField.constant(grid16, 0.0)
+        c = np.ones((2, 16, 16))
+        mu = np.stack((np.sin(grid16.xx), np.zeros((16, 16))))
         kappa = 2.5
-        f = ion_forcing(p, n, mu, nu, kappa)
-        assert np.abs(f.x_comp.values + kappa * np.cos(grid16.xx)).max() <= 1e-12
-        assert np.abs(f.y_comp.values).max() <= 1e-13
+        f = ion_forcing(grid16, c, mu, kappa)
+        assert np.abs(f[0] + kappa * np.cos(grid16.xx)).max() <= 1e-12
+        assert np.abs(f[1]).max() <= 1e-13
 
 
 class TestSolveVelocity:
     def test_all_zero(self, grid16):
-        zero_v = VectorField.zero(grid16)
-        zero = ScalarField.constant(grid16, 0.0)
-        u, _, _ = solve_velocity(zero_v, zero, zero_v.copy(), None, PhysParams(),
-                                 0.05, _cfg(16))
-        assert np.abs(u.x_comp.values).max() == 0.0
-        assert np.abs(u.y_comp.values).max() == 0.0
+        zero_v = np.zeros((2, 16, 16))
+        u, _, _ = solve_velocity(grid16, zero_v, np.zeros((16, 16)), zero_v.copy(), None,
+                                 PhysParams(), 0.05, _cfg(16))
+        assert np.abs(u[0]).max() == 0.0
+        assert np.abs(u[1]).max() == 0.0
 
     def test_constant_forcing(self, grid16):
         dt = 0.05
-        zero_v = VectorField.zero(grid16)
-        zero = ScalarField.constant(grid16, 0.0)
-        forcing = VectorField.from_arrays(grid16,
-                                          np.full((16, 16), 2.0),
-                                          np.full((16, 16), -1.0))
-        u, _, _ = solve_velocity(zero_v, zero, forcing, None, PhysParams(), dt, _cfg(16))
-        assert np.abs(u.x_comp.values - 2.0 * dt).max() <= 1e-12
-        assert np.abs(u.y_comp.values + 1.0 * dt).max() <= 1e-12
+        forcing = np.stack((np.full((16, 16), 2.0), np.full((16, 16), -1.0)))
+        u, _, _ = solve_velocity(grid16, np.zeros((2, 16, 16)), np.zeros((16, 16)), forcing,
+                                 None, PhysParams(), dt, _cfg(16))
+        assert np.abs(u[0] - 2.0 * dt).max() <= 1e-12
+        assert np.abs(u[1] + 1.0 * dt).max() <= 1e-12
 
     def test_manufactured_round_trip(self, grid16, rng):
         """Apply the operator to a chosen field, solve, recover the field."""
@@ -75,9 +68,8 @@ class TestSolveVelocity:
         dt = 0.04
         cfg = _cfg(16, dt)
         ux, uy = div_free_velocity(grid16, rng, amplitude=0.7, kmax=4)
-        u_m = VectorField.from_arrays(grid16, ux, uy)
         phi_vals = band_limited(grid16, rng, kmax=4)
-        phi = ScalarField(grid16, phi_vals - phi_vals.mean())
+        phi = phi_vals - phi_vals.mean()
         wx = band_limited(grid16, rng, kmax=4)
         wy = band_limited(grid16, rng, kmax=4)
 
@@ -86,27 +78,22 @@ class TestSolveVelocity:
             return (w / dt + ux * gx + uy * gy
                     - params.viscosity * grid16.laplacian(w))
 
-        px, py = grid16.grad(phi.values)
-        forcing = VectorField.from_arrays(
-            grid16,
-            operator(wx) - ux / dt + px,
-            operator(wy) - uy / dt + py,
-        )
-        solved, _, _ = solve_velocity(u_m, phi, forcing, None, params, dt, cfg)
+        px, py = grid16.grad(phi)
+        forcing = np.stack((operator(wx) - ux / dt + px, operator(wy) - uy / dt + py))
+        solved, _, _ = solve_velocity(grid16, np.stack((ux, uy)), phi, forcing, None,
+                                      params, dt, cfg)
         scale = max(np.abs(wx).max(), np.abs(wy).max())
-        assert np.abs(solved.x_comp.values - wx).max() <= 1e-10 * scale
-        assert np.abs(solved.y_comp.values - wy).max() <= 1e-10 * scale
+        assert np.abs(solved[0] - wx).max() <= 1e-10 * scale
+        assert np.abs(solved[1] - wy).max() <= 1e-10 * scale
 
     def test_no_convergence(self, grid16, rng):
         cfg = SchemeConfig(n_modes=16, dt=0.05, t_final=0.05,
                            krylov_tol=1e-14, krylov_max_iter=1)
-        ux, uy = div_free_velocity(grid16, rng, amplitude=5.0)
-        u_m = VectorField.from_arrays(grid16, ux, uy)
-        zero = ScalarField.constant(grid16, 0.0)
-        forcing = VectorField.from_arrays(grid16, band_limited(grid16, rng),
-                                          band_limited(grid16, rng))
+        u_m = np.stack(div_free_velocity(grid16, rng, amplitude=5.0))
+        forcing = np.stack((band_limited(grid16, rng), band_limited(grid16, rng)))
         with pytest.raises(NoConvergenceError):
-            solve_velocity(u_m, zero, forcing, None, PhysParams(), 0.05, cfg)
+            solve_velocity(grid16, u_m, np.zeros((16, 16)), forcing, None, PhysParams(),
+                           0.05, cfg)
 
 
 class TestPreconditionedProduct:
@@ -115,17 +102,17 @@ class TestPreconditionedProduct:
     @pytest.fixture
     def setting(self, grid8, rng):
         dt, viscosity = 0.05, 0.3
-        ux, uy = div_free_velocity(grid8, rng, amplitude=0.7, kmax=3)
+        u = np.stack(div_free_velocity(grid8, rng, amplitude=0.7, kmax=3))
         symbol = 1.0 / (1.0 / dt + viscosity * grid8._k2)
-        return grid8, ux, uy, symbol, dt, viscosity
+        return grid8, u, symbol, dt, viscosity
 
     def test_matches_operator_after_preconditioner(self, setting):
-        grid, ux, uy, symbol, dt, viscosity = setting
+        grid, u, symbol, dt, viscosity = setting
         shape = (grid.n_modes,) * 2
 
         def operator(w):
             gx, gy = grid.grad(w)
-            return w / dt + ux * gx + uy * gy - viscosity * grid.laplacian(w)
+            return w / dt + u[0] * gx + u[1] * gy - viscosity * grid.laplacian(w)
 
         def dense(fn):
             return np.column_stack([fn(e.reshape(shape)).ravel()
@@ -133,25 +120,24 @@ class TestPreconditionedProduct:
 
         a = dense(operator)
         s = dense(lambda w: grid.irfft(symbol * grid.rfft(w)))
-        folded = dense(lambda v: advect_diffuse_product(grid, ux, uy, symbol, v))
+        folded = dense(lambda v: advect_diffuse_product(grid, u, symbol, v))
         assert np.linalg.norm(folded - a @ s) <= 1e-12 * np.linalg.norm(a @ s)
 
     def test_three_transforms_per_product(self, setting, rng, transforms):
-        grid, ux, uy, symbol, _, _ = setting
+        grid, u, symbol, _, _ = setting
         v = rng.standard_normal((grid.n_modes,) * 2)
         transforms["calls"] = 0
-        advect_diffuse_product(grid, ux, uy, symbol, v)
+        advect_diffuse_product(grid, u, symbol, v)
         assert transforms["calls"] == 3
 
     def test_vortex_application_count(self):
         """BiCGStab work on an N=32 vortex flow: 22 applications, as when S and A ran in turn."""
         grid = make_grid(32)
         rng = np.random.default_rng(32)
-        ux, uy = div_free_velocity(grid, rng, amplitude=0.3, kmax=8)
-        u_m = VectorField.from_arrays(grid, ux, uy)
-        phi = ScalarField(grid, band_limited(grid, rng, kmax=8, amplitude=0.2))
+        u_m = np.stack(div_free_velocity(grid, rng, amplitude=0.3, kmax=8))
+        phi = band_limited(grid, rng, kmax=8, amplitude=0.2)
         cfg = SchemeConfig(n_modes=32, dt=1e-2, t_final=1e-2)
-        _, iters, residual = solve_velocity(u_m, phi, VectorField.zero(grid), None,
+        _, iters, residual = solve_velocity(grid, u_m, phi, np.zeros((2, 32, 32)), None,
                                             PhysParams(viscosity=1e-2), cfg.dt, cfg)
         assert iters == 22
         assert residual <= cfg.krylov_tol
@@ -159,51 +145,41 @@ class TestPreconditionedProduct:
 
 class TestProjection:
     def test_divergence_free_input_unchanged(self, grid16, rng):
-        ux, uy = div_free_velocity(grid16, rng)
-        u = VectorField.from_arrays(grid16, ux, uy)
-        phi = ScalarField.constant(grid16, 0.0)
-        u_new, phi_new = project_velocity(u, phi, dt=0.1)
-        assert np.abs(u_new.x_comp.values - ux).max() <= 1e-12
-        assert np.abs(u_new.y_comp.values - uy).max() <= 1e-12
-        assert np.abs(phi_new.values).max() <= 1e-12
+        u = np.stack(div_free_velocity(grid16, rng))
+        u_new, phi_new = project_velocity(grid16, u, np.zeros((16, 16)), dt=0.1)
+        assert np.abs(u_new[0] - u[0]).max() <= 1e-12
+        assert np.abs(u_new[1] - u[1]).max() <= 1e-12
+        assert np.abs(phi_new).max() <= 1e-12
 
     def test_pure_gradient_annihilated(self, grid16):
         dt = 0.2
         chi = np.cos(grid16.xx)
-        gx, gy = grid16.grad(chi)
-        u_tilde = VectorField.from_arrays(grid16, gx, gy)
-        phi = ScalarField.constant(grid16, 0.0)
-        u_new, phi_new = project_velocity(u_tilde, phi, dt)
-        assert np.abs(u_new.x_comp.values).max() <= 1e-13
-        assert np.abs(u_new.y_comp.values).max() <= 1e-13
-        assert np.abs(phi_new.values - chi / dt).max() <= 1e-12
+        u_tilde = np.stack(grid16.grad(chi))
+        u_new, phi_new = project_velocity(grid16, u_tilde, np.zeros((16, 16)), dt)
+        assert np.abs(u_new[0]).max() <= 1e-13
+        assert np.abs(u_new[1]).max() <= 1e-13
+        assert np.abs(phi_new - chi / dt).max() <= 1e-12
 
     def test_divergence_free_for_arbitrary_input(self, grid, rng):
-        u_tilde = VectorField.from_arrays(grid,
-                                          rng.standard_normal((grid.n_modes,) * 2),
-                                          rng.standard_normal((grid.n_modes,) * 2))
-        phi = ScalarField.constant(grid, 0.0)
-        u_new, _ = project_velocity(u_tilde, phi, dt=0.1)
-        div_norm = grid.norm(grid.div(u_new.x_comp.values, u_new.y_comp.values))
-        assert div_norm <= 1e-11 * max(1.0, vector_norm(u_new))
+        n = grid.n_modes
+        u_tilde = rng.standard_normal((2, n, n))
+        u_new, _ = project_velocity(grid, u_tilde, np.zeros((n, n)), dt=0.1)
+        div_norm = grid.norm(grid.div(u_new[0], u_new[1]))
+        assert div_norm <= 1e-11 * max(1.0, grid.norm(u_new))
 
     def test_idempotent(self, grid16, rng):
-        u_tilde = VectorField.from_arrays(grid16, rng.standard_normal((16, 16)),
-                                          rng.standard_normal((16, 16)))
-        phi = ScalarField.constant(grid16, 0.0)
-        u1, phi1 = project_velocity(u_tilde, phi, dt=0.1)
-        u2, phi2 = project_velocity(u1, phi1, dt=0.1)
-        assert np.abs(u2.x_comp.values - u1.x_comp.values).max() <= 1e-12
-        assert np.abs(u2.y_comp.values - u1.y_comp.values).max() <= 1e-12
-        assert np.abs(phi2.values - phi1.values).max() <= 1e-12
+        u_tilde = rng.standard_normal((2, 16, 16))
+        u1, phi1 = project_velocity(grid16, u_tilde, np.zeros((16, 16)), dt=0.1)
+        u2, phi2 = project_velocity(grid16, u1, phi1, dt=0.1)
+        assert np.abs(u2[0] - u1[0]).max() <= 1e-12
+        assert np.abs(u2[1] - u1[1]).max() <= 1e-12
+        assert np.abs(phi2 - phi1).max() <= 1e-12
 
     def test_matches_dense_helmholtz_oracle(self, grid8, rng):
         """Leray projector via dense matrices on a resolved random field."""
         vx = band_limited(grid8, rng, kmax=3)
         vy = band_limited(grid8, rng, kmax=3)
-        u_tilde = VectorField.from_arrays(grid8, vx, vy)
-        phi = ScalarField.constant(grid8, 0.0)
-        u_new, _ = project_velocity(u_tilde, phi, dt=0.3)
+        u_new, _ = project_velocity(grid8, np.stack((vx, vy)), np.zeros((8, 8)), dt=0.3)
 
         dx, dy = diff_matrices_2d(8)
         div_flat = dx @ vx.ravel() + dy @ vy.ravel()
@@ -212,8 +188,8 @@ class TestProjection:
         ox = vx.ravel() - dx @ chi.ravel()
         oy = vy.ravel() - dy @ chi.ravel()
         scale = max(np.abs(ox).max(), 1.0)
-        assert np.abs(u_new.x_comp.values.ravel() - ox).max() <= 1e-10 * scale
-        assert np.abs(u_new.y_comp.values.ravel() - oy).max() <= 1e-10 * scale
+        assert np.abs(u_new[0].ravel() - ox).max() <= 1e-10 * scale
+        assert np.abs(u_new[1].ravel() - oy).max() <= 1e-10 * scale
 
 
 class TestVelocityStep:
@@ -221,35 +197,31 @@ class TestVelocityStep:
         params = PhysParams()
         dt = 0.05
         cfg = _cfg(16, dt)
-        ux, uy = div_free_velocity(grid16, rng, amplitude=0.6, kmax=4)
-        u_m = VectorField.from_arrays(grid16, ux, uy)
+        u_m = np.stack(div_free_velocity(grid16, rng, amplitude=0.6, kmax=4))
         phi_vals = band_limited(grid16, rng, kmax=4)
-        phi = ScalarField(grid16, phi_vals - phi_vals.mean())
-        forcing = VectorField.from_arrays(grid16,
-                                          band_limited(grid16, rng, kmax=4),
-                                          band_limited(grid16, rng, kmax=4))
-        result = velocity_step(u_m, phi, forcing, None, params, dt, cfg)
-        lhs = vector_norm(result.u_tilde) ** 2
-        dphi = result.phi_new.values - phi.values
+        phi = phi_vals - phi_vals.mean()
+        forcing = np.stack((band_limited(grid16, rng, kmax=4),
+                            band_limited(grid16, rng, kmax=4)))
+        u_tilde, _, _ = solve_velocity(grid16, u_m, phi, forcing, None, params, dt, cfg)
+        result = velocity_step(grid16, u_m, phi, forcing, None, params, dt, cfg)
+        lhs = grid16.norm(u_tilde) ** 2
+        dphi = result.phi_new - phi
         gx, gy = grid16.grad(dphi)
-        rhs = (vector_norm(result.u_new) ** 2
+        rhs = (grid16.norm(result.u_new) ** 2
                + dt * dt * (grid16.inner(gx, gx) + grid16.inner(gy, gy)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_result_invariants(self, grid16, rng):
         params = PhysParams()
         cfg = _cfg(16)
-        ux, uy = div_free_velocity(grid16, rng, kmax=4)
-        u_m = VectorField.from_arrays(grid16, ux, uy)
-        zero = ScalarField.constant(grid16, 0.0)
-        forcing = VectorField.from_arrays(grid16,
-                                          band_limited(grid16, rng, kmax=4),
-                                          band_limited(grid16, rng, kmax=4))
-        result = velocity_step(u_m, zero, forcing, None, params, cfg.dt, cfg)
-        div_norm = grid16.norm(grid16.div(result.u_new.x_comp.values,
-                                          result.u_new.y_comp.values))
-        assert div_norm <= 1e-11 * max(1.0, vector_norm(result.u_new))
-        assert abs(result.phi_new.values.mean()) <= 1e-12
+        u_m = np.stack(div_free_velocity(grid16, rng, kmax=4))
+        forcing = np.stack((band_limited(grid16, rng, kmax=4),
+                            band_limited(grid16, rng, kmax=4)))
+        result = velocity_step(grid16, u_m, np.zeros((16, 16)), forcing, None, params,
+                               cfg.dt, cfg)
+        div_norm = grid16.norm(grid16.div(result.u_new[0], result.u_new[1]))
+        assert div_norm <= 1e-11 * max(1.0, grid16.norm(result.u_new))
+        assert abs(result.phi_new.mean()) <= 1e-12
         assert result.residual <= cfg.krylov_tol * 10
 
 

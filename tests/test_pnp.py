@@ -15,7 +15,6 @@ from pnpns.errors import (
 from pnpns.pnp import (
     Step1System,
     compute_psi,
-    functional_value,
     line_blocks,
     mobility,
     solve_step1,
@@ -36,7 +35,7 @@ def perturbed(state, grid, rng, amplitude, kmax=3):
     p = state.p.values + (dp - dp.mean())
     n = state.n.values + (dn - dn.mean())
     assert p.min() > 0 and n.min() > 0
-    return ScalarField(grid, p), ScalarField(grid, n)
+    return p, n
 
 
 def blob_step(n_modes):
@@ -84,30 +83,29 @@ def rest_system(grid, params=PhysParams(), dt=0.1):
 
 class TestComputePsi:
     def test_electroneutral_gives_zero(self, grid16):
-        p = ScalarField.constant(grid16, 1.3)
-        psi = compute_psi(p, p.copy(), epsilon=1.0)
-        assert np.abs(psi.values).max() <= 1e-14
+        p = np.full((16, 16), 1.3)
+        psi = compute_psi(grid16, p, p.copy(), epsilon=1.0)
+        assert np.abs(psi).max() <= 1e-14
 
     def test_eigenfunction_with_epsilon(self, grid16):
         eps = 2.5
         harmonic = np.cos(grid16.xx) * np.cos(grid16.yy)
-        p = ScalarField(grid16, 1.5 + 2.0 * eps * harmonic)
-        n = ScalarField.constant(grid16, 1.5)
-        psi = compute_psi(p, n, epsilon=eps)
-        assert np.abs(psi.values - harmonic).max() <= 1e-12
+        p = 1.5 + 2.0 * eps * harmonic
+        n = np.full((16, 16), 1.5)
+        psi = compute_psi(grid16, p, n, epsilon=eps)
+        assert np.abs(psi - harmonic).max() <= 1e-12
 
     def test_manufactured_identity(self, grid16):
         # p - n = cos x cos y (sin t + cos t) => psi = that / (2 eps)
         eps, t = 1.7, 0.4
         harmonic = np.cos(grid16.xx) * np.cos(grid16.yy)
         factor = math.sin(t) + math.cos(t)
-        p = ScalarField(grid16, 1.1 + harmonic * math.sin(t))
-        n = ScalarField(grid16, 1.1 - harmonic * math.cos(t))
-        psi = compute_psi(p, n, epsilon=eps)
-        assert np.abs(psi.values - harmonic * factor / (2 * eps)).max() <= 1e-13
+        p = 1.1 + harmonic * math.sin(t)
+        n = 1.1 - harmonic * math.cos(t)
+        psi = compute_psi(grid16, p, n, epsilon=eps)
+        assert np.abs(psi - harmonic * factor / (2 * eps)).max() <= 1e-13
         # and -eps lap psi reproduces the charge density
-        assert np.abs(-eps * grid16.laplacian(psi.values)
-                      - (p.values - n.values)).max() <= 1e-12
+        assert np.abs(-eps * grid16.laplacian(psi) - (p - n)).max() <= 1e-12
 
 
 class TestChemicalPotentials:
@@ -168,7 +166,7 @@ class TestResidual:
         state = admissible_state(grid8, rng)
         cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
         ours_p, ours_n = Step1System(state, params, dt).residual(
-            np.stack((cand_p.values, cand_n.values)))
+            np.stack((cand_p, cand_n)))
 
         # dense route: differentiation matrices + lstsq Poisson solve
         from oracles import diff_matrices_2d
@@ -177,18 +175,18 @@ class TestResidual:
         ux = state.u.x_comp.values.ravel()
         uy = state.u.y_comp.values.ravel()
         lap1 = dense_weighted_laplacian(np.ones((8, 8)))
-        charge = (cand_p.values - cand_n.values) / params.epsilon
+        charge = (cand_p - cand_n) / params.epsilon
         psi = dense_solve_zero_mean(lap1, charge).ravel()
         ratio = params.kappa / params.diffusion
         m_p = pm * (1.0 + 2.0 * ratio * dt * pm)
         m_n = nm * (1.0 + 2.0 * ratio * dt * nm)
-        mu = np.log(cand_p.values.ravel()) + psi
-        nu = np.log(cand_n.values.ravel()) - psi
-        dens_p = ((cand_p.values.ravel() - pm) / dt
+        mu = np.log(cand_p.ravel()) + psi
+        nu = np.log(cand_n.ravel()) - psi
+        dens_p = ((cand_p.ravel() - pm) / dt
                   + dx @ (pm * ux) + dy @ (pm * uy)
                   + params.diffusion * (dense_weighted_laplacian(
                       m_p.reshape(8, 8)) @ mu))
-        dens_n = ((cand_n.values.ravel() - nm) / dt
+        dens_n = ((cand_n.ravel() - nm) / dt
                   + dx @ (nm * ux) + dy @ (nm * uy)
                   + params.diffusion * (dense_weighted_laplacian(
                       m_n.reshape(8, 8)) @ nu))
@@ -218,7 +216,7 @@ class TestJacobian:
         dp_vals -= dp_vals.mean()
         dn_vals -= dn_vals.mean()
         system = Step1System(state, params, dt)
-        c = np.stack((cand_p.values, cand_n.values))
+        c = np.stack((cand_p, cand_n))
         dc = np.stack((dp_vals, dn_vals))
 
         j_p, j_n = system.jacobian_action(c, dc)
@@ -241,7 +239,7 @@ def step1_operators(grid, rng):
     state = admissible_state(grid, rng)
     cand_p, cand_n = perturbed(state, grid, rng, amplitude=0.05, kmax=2)
     system = Step1System(state, params, dt=0.05)
-    c = np.stack((cand_p.values, cand_n.values))
+    c = np.stack((cand_p, cand_n))
     eye = np.eye(2 * grid.n_modes**2)
     dense = np.column_stack([system.jacobian_action(c, e) for e in eye])
     return system, c, dense
@@ -511,29 +509,26 @@ class TestFunctional:
         zero = ScalarField.constant(grid16, 0.0)
         u = VectorField.zero(grid16)
         prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
-        value = functional_value(prev, p.copy(), p.copy(), PhysParams(), dt=0.1)
+        value = Step1System(prev, PhysParams(), dt=0.1).objective(np.ones((2, 16, 16)))
         assert value == pytest.approx(-2.0 * TWO_PI**2, rel=1e-12)
 
     def test_rejects_mass_mismatch(self, grid8, rng):
         state = admissible_state(grid8, rng)
-        shifted = ScalarField(grid8, state.p.values + 0.1)
+        shifted = np.stack((state.p.values + 0.1, state.n.values))
         with pytest.raises(MassMismatchError):
-            functional_value(state, shifted, state.n.copy(), PhysParams(), dt=0.1)
+            Step1System(state, PhysParams(), dt=0.1).objective(shifted)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_midpoint_convexity(self, grid8, seed):
         rng = np.random.default_rng(2000 + seed)
         state = admissible_state(grid8, rng)
-        params = PhysParams()
-        dt = 0.05
+        objective = Step1System(state, PhysParams(), dt=0.05).objective
         for _ in range(5):
-            a_p, a_n = perturbed(state, grid8, rng, amplitude=0.25)
-            b_p, b_n = perturbed(state, grid8, rng, amplitude=0.25)
-            mid_p = ScalarField(grid8, 0.5 * (a_p.values + b_p.values))
-            mid_n = ScalarField(grid8, 0.5 * (a_n.values + b_n.values))
-            j_a = functional_value(state, a_p, a_n, params, dt)
-            j_b = functional_value(state, b_p, b_n, params, dt)
-            j_mid = functional_value(state, mid_p, mid_n, params, dt)
+            a = np.stack(perturbed(state, grid8, rng, amplitude=0.25))
+            b = np.stack(perturbed(state, grid8, rng, amplitude=0.25))
+            j_a = objective(a)
+            j_b = objective(b)
+            j_mid = objective(0.5 * (a + b))
             assert j_mid <= 0.5 * (j_a + j_b) + 1e-10
 
     def test_solution_certifies_minimum(self, grid8, rng):
@@ -541,17 +536,17 @@ class TestFunctional:
         params = PhysParams()
         cfg = SchemeConfig(n_modes=8, dt=0.05, t_final=0.05)
         result = solve_step1(state, params, cfg.dt, cfg)
-        j_initial = functional_value(state, state.p, state.n, params, cfg.dt)
-        j_final = functional_value(state, result.p_new, result.n_new, params, cfg.dt)
+        system = Step1System(state, params, cfg.dt)
+        j_initial = system.objective(system.c_prev)
+        j_final = system.objective(result.c)
         assert j_final <= j_initial + 1e-12 * abs(j_initial)
         # local-minimum certificate against admissible perturbations
         for k in range(20):
             prng = np.random.default_rng(3000 + k)
             dp = band_limited(grid8, prng, kmax=3, amplitude=0.02)
             dn = band_limited(grid8, prng, kmax=3, amplitude=0.02)
-            trial_p = ScalarField(grid8, result.p_new.values + (dp - dp.mean()))
-            trial_n = ScalarField(grid8, result.n_new.values + (dn - dn.mean()))
-            j_trial = functional_value(state, trial_p, trial_n, params, cfg.dt)
+            trial = result.c + np.stack((dp - dp.mean(), dn - dn.mean()))
+            j_trial = system.objective(trial)
             assert j_final <= j_trial + 1e-10 * abs(j_trial)
 
 
@@ -564,8 +559,8 @@ class TestSolveStep1:
         cfg = SchemeConfig(n_modes=16, dt=0.1, t_final=0.1)
         result = solve_step1(prev, PhysParams(), cfg.dt, cfg)
         assert result.newton_iters == 0
-        assert np.array_equal(result.p_new.values, p.values)
-        assert np.array_equal(result.n_new.values, p.values)
+        assert np.array_equal(result.c[0], p.values)
+        assert np.array_equal(result.c[1], p.values)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mass_and_positivity(self, grid8, seed):
@@ -573,10 +568,10 @@ class TestSolveStep1:
         state = admissible_state(grid8, rng)
         cfg = SchemeConfig(n_modes=8, dt=0.02, t_final=0.02)
         result = solve_step1(state, PhysParams(), cfg.dt, cfg)
-        assert result.p_new.values.min() > 0
-        assert result.n_new.values.min() > 0
-        assert abs(mass(result.p_new) - mass(state.p)) <= 1e-11 * mass(state.p)
-        assert abs(mass(result.n_new) - mass(state.n)) <= 1e-11 * mass(state.n)
+        assert result.c[0].min() > 0
+        assert result.c[1].min() > 0
+        assert abs(grid8.integral(result.c[0]) - mass(state.p)) <= 1e-11 * mass(state.p)
+        assert abs(grid8.integral(result.c[1]) - mass(state.n)) <= 1e-11 * mass(state.n)
         assert result.final_residual <= cfg.newton_tol * (
             1.0 + math.sqrt(grid8.inner(state.p.values, state.p.values)
                             + grid8.inner(state.n.values, state.n.values)))
@@ -586,20 +581,19 @@ class TestSolveStep1:
         cfg = SchemeConfig(n_modes=8, dt=0.02, t_final=0.02)
         params = PhysParams(epsilon=1.5)
         result = solve_step1(state, params, cfg.dt, cfg)
-        psi = compute_psi(result.p_new, result.n_new, params.epsilon)
-        assert np.abs(psi.values - result.psi_new.values).max() <= 1e-13
-        _, mu = Step1System(state, params, cfg.dt).potentials(
-            np.stack((result.p_new.values, result.n_new.values)))
-        assert np.abs(mu[0] - result.mu_new.values).max() <= 1e-13
-        assert np.abs(mu[1] - result.nu_new.values).max() <= 1e-13
+        psi = compute_psi(grid8, result.c[0], result.c[1], params.epsilon)
+        assert np.abs(psi - result.psi).max() <= 1e-13
+        _, mu = Step1System(state, params, cfg.dt).potentials(result.c)
+        assert np.abs(mu[0] - result.mu[0]).max() <= 1e-13
+        assert np.abs(mu[1] - result.mu[1]).max() <= 1e-13
 
     def test_deterministic(self, grid8, rng):
         state = admissible_state(grid8, rng)
         cfg = SchemeConfig(n_modes=8, dt=0.02, t_final=0.02)
         r1 = solve_step1(state, PhysParams(), cfg.dt, cfg)
         r2 = solve_step1(state, PhysParams(), cfg.dt, cfg)
-        assert np.array_equal(r1.p_new.values, r2.p_new.values)
-        assert np.array_equal(r1.n_new.values, r2.n_new.values)
+        assert np.array_equal(r1.c[0], r2.c[0])
+        assert np.array_equal(r1.c[1], r2.c[1])
 
     def test_no_convergence_raises(self, grid8, rng):
         state = admissible_state(grid8, rng)
@@ -658,10 +652,8 @@ class TestSolveStep1:
             result = solve_step1(state, params, dt, cfg, sources=sources)
             p_exact, n_exact, *_ = case.exact_state(dt, grid)
             err = math.sqrt(
-                grid.inner(result.p_new.values - p_exact.values,
-                           result.p_new.values - p_exact.values)
-                + grid.inner(result.n_new.values - n_exact.values,
-                             result.n_new.values - n_exact.values))
+                grid.inner(result.c[0] - p_exact.values, result.c[0] - p_exact.values)
+                + grid.inner(result.c[1] - n_exact.values, result.c[1] - n_exact.values))
             errors.append(err)
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.2)
@@ -671,10 +663,11 @@ class TestSolveStep1:
         solves = counting_gmres(monkeypatch)
         state, params, cfg = blob_step(64)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.p_new.values.min() > 0
-        assert result.n_new.values.min() > 0
-        assert abs(mass(result.p_new) - mass(state.p)) <= 1e-11 * mass(state.p)
-        assert abs(mass(result.n_new) - mass(state.n)) <= 1e-11 * mass(state.n)
+        assert result.c[0].min() > 0
+        assert result.c[1].min() > 0
+        grid = state.grid
+        assert abs(grid.integral(result.c[0]) - mass(state.p)) <= 1e-11 * mass(state.p)
+        assert abs(grid.integral(result.c[1]) - mass(state.n)) <= 1e-11 * mass(state.n)
         inner_iters = [iters for iters, *_ in solves]
         # Krylov-work guard: 2 + 3 + 5 = 10 inner iterations when written
         assert len(inner_iters) == result.newton_iters == 3
@@ -727,8 +720,8 @@ class TestSolveStep1:
         solves = counting_gmres(monkeypatch)
         state, params, cfg = blob_step(128)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.p_new.values.min() > 0
-        assert result.n_new.values.min() > 0
+        assert result.c[0].min() > 0
+        assert result.c[1].min() > 0
         assert len(solves) == result.newton_iters
         for iters, products, info, *_ in solves:
             # one cycle that returns on its estimate: every product is an iteration
@@ -745,4 +738,4 @@ class TestSolveStep1:
     def test_coarse_blob_step_converges(self):
         state, params, cfg = blob_step(20)
         result = solve_step1(state, params, cfg.dt, cfg)
-        assert result.p_new.values.min() > 0
+        assert result.c[0].min() > 0

@@ -30,7 +30,8 @@ def start(n_modes, dt, kappa, epsilon, seed):
     cfg = SchemeConfig(n_modes=n_modes, dt=dt, t_final=dt)
     state = admissible_state(make_grid(n_modes), np.random.default_rng(seed))
     # admissible_state solves for psi at epsilon = 1; the energy needs this epsilon's
-    state = dataclasses.replace(state, psi=compute_psi(state.p, state.n, epsilon))
+    psi = compute_psi(state.grid, state.p.values, state.n.values, epsilon)
+    state = dataclasses.replace(state, psi=ScalarField(state.grid, psi))
     return state, params, cfg
 
 
@@ -104,6 +105,6 @@ def test_net_charged_state_is_rejected():
     state, params, cfg = start(8, 0.01, 1.0, 0.5, 428)
     charged = dataclasses.replace(state, n=ScalarField(state.grid, 1.001 * state.n.values))
     with pytest.raises(NonZeroMeanError):
-        compute_psi(charged.p, charged.n, params.epsilon)
+        compute_psi(state.grid, charged.p.values, charged.n.values, params.epsilon)
     with pytest.raises(NonZeroMeanError):
         advance(charged, params, cfg)

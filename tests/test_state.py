@@ -88,7 +88,9 @@ class TestEnergy:
         state = admissible_state(grid16, rng)
         params = PhysParams(kappa=7.5, epsilon=2.0)
         e = total_energy(state, params, dt=0.05)
-        assert e.total == pytest.approx(e.recompute_total(params.kappa), rel=1e-13)
+        parts = (params.kappa * (e.entropy_p + e.entropy_n + e.field)
+                 + e.kinetic + e.pressure_aug)
+        assert e.total == pytest.approx(parts, rel=1e-13)
 
     def test_field_term_scales_with_epsilon(self, grid16, rng):
         state = admissible_state(grid16, rng)
