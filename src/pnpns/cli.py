@@ -58,6 +58,7 @@ def _write_plot_data(state, path: Path) -> None:
     grid = state.grid
     stride = max(1, grid.n_modes // PLOT_SAMPLE_TARGET)
     charge = state.p.values - state.n.values
+    ux, uy = state.u.values
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["x", "y", "p_minus_n", "u_x", "u_y"])
@@ -65,7 +66,7 @@ def _write_plot_data(state, path: Path) -> None:
         for j in range(0, grid.n_modes, stride):
             writer.writerow([
                 _fmt(grid.x[i]), _fmt(grid.y[j]), _fmt(charge[i, j]),
-                _fmt(state.u.x_comp.values[i, j]), _fmt(state.u.y_comp.values[i, j]),
+                _fmt(ux[i, j]), _fmt(uy[i, j]),
             ])
     atomic_write(path, buf.getvalue().encode("ascii"))
 
@@ -176,7 +177,7 @@ def cmd_inspect(snapshot_path: str) -> int:
     print(f"  mass      : p={mass(state.p):.12g} n={mass(state.n):.12g}")
     print(f"  p range   : [{state.p.values.min():.6g}, {state.p.values.max():.6g}]")
     print(f"  n range   : [{state.n.values.min():.6g}, {state.n.values.max():.6g}]")
-    print(f"  |u| max   : {max(abs(state.u.x_comp.values).max(), abs(state.u.y_comp.values).max()):.6g}")
+    print(f"  |u| max   : {abs(state.u.values).max():.6g}")
     return 0
 
 

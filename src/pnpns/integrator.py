@@ -17,7 +17,7 @@ from .errors import (
 )
 from .ns import ion_forcing, velocity_step
 from .pnp import compute_psi, solve_step1
-from .spectral import Grid, ScalarField, VectorField, make_grid
+from .spectral import Field, Grid, make_grid
 from .state import (
     PhysParams,
     SchemeConfig,
@@ -50,53 +50,36 @@ class RunRecord:
     final_state: SimState | None = None
 
 
-def _as_scalar_field(value, grid: Grid) -> ScalarField:
-    if isinstance(value, ScalarField):
-        if value.grid != grid:
-            raise ConfigError("initial field grid does not match the run grid")
-        return value
-    if callable(value):
-        return ScalarField.from_function(grid, value)
-    return ScalarField(grid, np.asarray(value, dtype=float))
+def _sample(value, grid: Grid) -> np.ndarray:
+    return grid.sample(value) if callable(value) else np.asarray(value, dtype=float)
 
 
 def initialize(p_in, n_in, u_in, params: PhysParams, cfg: SchemeConfig,
                phi_in=None) -> SimState:
     """Build a consistent discrete state from initial data.
 
-    Accepts arrays, ScalarFields or callables f(x, y) for the concentrations,
-    and a VectorField / pair of arrays / pair of callables (or None for rest)
-    for the velocity. The velocity is projected onto the divergence-free
-    space; psi is derived, which rejects a net charge (NetChargeError); phi
-    defaults to zero.
+    Accepts (N, N) arrays or callables f(x, y) for the concentrations and
+    phi, and a pair of them (or None for rest) for the velocity's x and y
+    components. The velocity is projected onto the divergence-free space;
+    psi is derived, which rejects a net charge (NetChargeError); phi
+    defaults to zero and is shifted to zero mean.
     """
     grid = make_grid(cfg.n_modes)
-    p = _as_scalar_field(p_in, grid)
-    n = _as_scalar_field(n_in, grid)
+    p = Field(grid, _sample(p_in, grid))
+    n = Field(grid, _sample(n_in, grid))
     if p.values.min() <= 0.0 or n.values.min() <= 0.0:
         raise NonPositiveConcentrationError("initial concentrations must be positive")
 
-    if u_in is None:
-        u = VectorField.zero(grid)
-    elif isinstance(u_in, VectorField):
-        if u_in.grid != grid:
-            raise ConfigError("initial velocity grid does not match the run grid")
-        u = u_in
-    else:
-        ux, uy = u_in
-        ux = grid.sample(ux) if callable(ux) else np.asarray(ux, dtype=float)
-        uy = grid.sample(uy) if callable(uy) else np.asarray(uy, dtype=float)
-        u = VectorField.from_arrays(grid, ux, uy)
-    px, py = grid.project_div_free(u.x_comp.values, u.y_comp.values)
-    u = VectorField.from_arrays(grid, px, py)
+    zero = np.zeros((grid.n_modes, grid.n_modes))
+    # checked as given, so a wrong shape is a GridMismatchError, not a broadcast error
+    u = Field(grid, np.stack((zero, zero) if u_in is None
+                             else [_sample(comp, grid) for comp in u_in]))
+    u = Field(grid, np.stack(grid.project_div_free(*u.values)))
 
-    psi = ScalarField(grid, compute_psi(grid, p.values, n.values, params.epsilon))
+    psi = Field(grid, compute_psi(grid, p.values, n.values, params.epsilon))
 
-    if phi_in is None:
-        phi = ScalarField.constant(grid, 0.0)
-    else:
-        phi = _as_scalar_field(phi_in, grid)
-        phi = ScalarField(grid, phi.values - phi.values.mean())
+    phi = zero if phi_in is None else _sample(phi_in, grid)
+    phi = Field(grid, phi - phi.mean())
 
     return SimState(p=p, n=n, psi=psi, u=u, phi=phi, step_index=0, time=0.0)
 
@@ -119,13 +102,12 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         ion_src = sources.ion_sources(t_new, grid)
         momentum_src = sources.momentum_source(t_new, grid)
 
-    # the previous state unwrapped once for the fluid layers (solve_step1 reads the state)
+    # the previous concentrations stacked once for the forcing (solve_step1 reads the state)
     c_old = np.stack((state.p.values, state.n.values))
-    u_old = np.stack((state.u.x_comp.values, state.u.y_comp.values))
     try:
         step1 = solve_step1(state, params, dt, cfg, sources=ion_src)
         forcing = ion_forcing(grid, c_old, step1.mu, params.kappa)
-        vel = velocity_step(grid, u_old, state.phi.values, forcing, momentum_src,
+        vel = velocity_step(grid, state.u.values, state.phi.values, forcing, momentum_src,
                             params, dt, cfg)
     except NoConvergenceError as exc:
         raise NoConvergenceError(
@@ -134,9 +116,8 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
 
     # the one place a step wraps its arrays into containers
     new_state = SimState(
-        p=ScalarField(grid, step1.c[0]), n=ScalarField(grid, step1.c[1]),
-        psi=ScalarField(grid, step1.psi),
-        u=VectorField.from_arrays(grid, *vel.u_new), phi=ScalarField(grid, vel.phi_new),
+        p=Field(grid, step1.c[0]), n=Field(grid, step1.c[1]), psi=Field(grid, step1.psi),
+        u=Field(grid, vel.u_new), phi=Field(grid, vel.phi_new),
         step_index=state.step_index + 1, time=t_new,
         line_ref=step1.line_ref, line_age=step1.line_age,
     )

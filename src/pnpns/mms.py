@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .integrator import initialize, run
-from .spectral import Grid, ScalarField, VectorField, make_grid
+from .spectral import Field, Grid, make_grid
 from .state import PhysParams, SchemeConfig
 
 PAPER_EXACT = "paper-exact"
@@ -124,13 +124,10 @@ class MMSCase:
         return np.broadcast_to(np.asarray(out, dtype=float), grid.xx.shape).copy()
 
     def exact_state(self, t: float, grid: Grid):
-        """Sampled exact (p, n, u, P, psi) at time t."""
-        p = ScalarField(grid, self._eval("p", grid, t))
-        n = ScalarField(grid, self._eval("n", grid, t))
-        u = VectorField.from_arrays(grid, self._eval("u1", grid, t),
-                                    self._eval("u2", grid, t))
-        pressure = ScalarField(grid, self._eval("pressure", grid, t))
-        psi = ScalarField(grid, self._eval("psi", grid, t))
+        """Sampled exact (p, n, u, P, psi) at time t, u as a (2, N, N) stack."""
+        p, n, pressure, psi = (Field(grid, self._eval(name, grid, t))
+                               for name in ("p", "n", "pressure", "psi"))
+        u = Field(grid, np.stack((self._eval("u1", grid, t), self._eval("u2", grid, t))))
         return p, n, u, pressure, psi
 
     # -- ForcingTerms protocol -------------------------------------------------
@@ -171,16 +168,11 @@ def make_case(params: PhysParams, variant: str = DIVERGENCE_FREE) -> MMSCase:
     return MMSCase(variant=variant, params=params, _fns=fns)
 
 
-def l2_error(numeric, exact) -> float:
-    """Discrete L2 norm of the difference (vector: components summed)."""
-    if isinstance(numeric, VectorField):
-        grid = numeric.grid
-        dx = numeric.x_comp.values - exact.x_comp.values
-        dy = numeric.y_comp.values - exact.y_comp.values
-        return math.sqrt(grid.inner(dx, dx) + grid.inner(dy, dy))
+def l2_error(numeric: Field, exact: Field) -> float:
+    """Discrete L2 norm of the difference (a stack: its components' squares summed)."""
     grid = numeric.grid
     d = numeric.values - exact.values
-    return math.sqrt(grid.inner(d, d))
+    return math.sqrt(sum(grid.inner(di, di) for di in d.reshape(-1, *grid.xx.shape)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ source is one (2, N, N) stack with the x and y components on axis 0, phi an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,13 @@ def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, viscosity:
     operator S = (1/dt - nu lap)^{-1}, which is diagonal in Fourier space:
     it solves (A S) y = rhs with the folded product above and returns
     w = S y, so its residual is that of the original system. The returned
-    iteration figure counts operator applications during the solve.
+    iteration figure counts operator applications during the solve; a
+    right-hand side that is not finite raises NoConvergenceError before any.
     """
     n = grid.n_modes
     rhs_norm = grid.norm(rhs)
+    if not math.isfinite(rhs_norm):
+        raise NoConvergenceError("velocity right-hand side is not finite", 0, rhs_norm)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     shape = rhs.shape

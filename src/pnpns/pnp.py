@@ -97,7 +97,7 @@ from .errors import (
     NonZeroMeanError,
 )
 from .krylov import gmres
-from .spectral import Grid
+from .spectral import Field, Grid
 from .state import PhysParams, SchemeConfig, SimState
 
 #: species names and valences along axis 0 of a stacked (2, N, N) array
@@ -168,7 +168,7 @@ class Step1Result:
     krylov_iters: int
     krylov_iters_max: int
     final_residual: float
-    line_ref: np.ndarray | None
+    line_ref: Field | None
     line_age: int
 
 
@@ -291,12 +291,12 @@ class LinePreconditioner:
 _line_slot: tuple | None = None
 
 
-def _line_factors(grid: Grid, ref: np.ndarray, dt: float,
+def _line_factors(grid: Grid, ref: Field, dt: float,
                   params: PhysParams) -> list[LinePreconditioner]:
     """The line preconditioner of each species, built at the stacked reference ref.
 
     The slot is keyed by the identity of ref and by (dt, params): a state
-    and its successors share one reference array, and a reloaded state,
+    and its successors share one reference Field, and a reloaded state,
     whose reference is a copy, rebuilds the same factors. A key on the
     array's content would let an unrelated state reuse factors it never
     built. A miss empties the slot before building, so at most one set
@@ -310,7 +310,7 @@ def _line_factors(grid: Grid, ref: np.ndarray, dt: float,
     _line_slot = slot = None  # the old factors go before the new ones are built
     d = params.diffusion
     lines = [LinePreconditioner(grid.diff_matrix, ci / dt,
-                                d * mobility(ci, dt, params.kappa, d)) for ci in ref]
+                                d * mobility(ci, dt, params.kappa, d)) for ci in ref.values]
     _line_slot = (ref, dt, params, lines)
     return lines
 
@@ -339,8 +339,7 @@ class Step1System:
             raise NonPositiveConcentrationError(
                 "previous state is too close to the positivity boundary"
             )
-        ux = prev.u.x_comp.values
-        uy = prev.u.y_comp.values
+        ux, uy = prev.u.values
         self.conv = np.stack([grid.div(c * ux, c * uy) for c in self.c_prev])
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
         self._inv_eps_k2 = grid._inv_k2 / params.epsilon
@@ -352,7 +351,7 @@ class Step1System:
             if prev.line_ref is not None and prev.line_age < LINE_REBUILD_PERIOD:
                 self.line_ref, self.line_age = prev.line_ref, prev.line_age + 1
             else:
-                self.line_ref, self.line_age = self.c_prev, 1
+                self.line_ref, self.line_age = Field(grid, self.c_prev), 1
         else:
             # spectral preconditioner (1/dt - D cbar lap)^{-1} per species, with
             # cbar the mean diffusion coefficient of the linearized operator

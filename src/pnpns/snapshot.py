@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonPositiveConcentrationError, RejectedGridError, SnapshotError
 from .pnp import LINE_REBUILD_PERIOD
-from .spectral import ScalarField, VectorField, make_grid
+from .spectral import Field, make_grid
 from .state import PhysParams, SimState
 
 MAGIC = b"PNPNSSNP"
@@ -71,12 +71,12 @@ def write_snapshot(state: SimState, params: PhysParams, path) -> Path:
         "params": dataclasses.asdict(params),
         "fields": list(FIELD_ORDER),
     }
-    arrays = [state.p.values, state.n.values, state.psi.values,
-              state.phi.values, state.u.x_comp.values, state.u.y_comp.values]
+    arrays = [state.p.values, state.n.values, state.psi.values, state.phi.values,
+              *state.u.values]
     if state.line_ref is not None:
         meta["fields"] += REF_FIELDS
         meta["line_age"] = state.line_age
-        arrays += list(state.line_ref)
+        arrays += list(state.line_ref.values)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     header = MAGIC + struct.pack("<II", VERSION, len(meta_bytes))
     header = header.ljust(HEADER_SIZE, b"\0")
@@ -175,15 +175,13 @@ def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
             raise NonPositiveConcentrationError(
                 f"{path}: {name} must be positive, min={f.min():.3e}")
     grid = make_grid(n)
-    p = ScalarField(grid, fields[0].copy())
-    n_field = ScalarField(grid, fields[1].copy())
-    psi = ScalarField(grid, fields[2].copy())
-    phi = ScalarField(grid, fields[3].copy())
-    u = VectorField.from_arrays(grid, fields[4].copy(), fields[5].copy())
+    p, n_field, psi, phi = (Field(grid, f.copy()) for f in fields[:4])
+    u = Field(grid, fields[4:6].copy())
     line_ref = None
     if len(names) > len(FIELD_ORDER):
-        line_ref = fields[len(FIELD_ORDER):].copy()
-        line_ref.flags.writeable = False
+        ref = fields[len(FIELD_ORDER):].copy()
+        ref.flags.writeable = False
+        line_ref = Field(grid, ref)
     return SimState(p=p, n=n_field, psi=psi, u=u, phi=phi,
                     step_index=meta["step_index"], time=float(meta["time"]),
                     line_ref=line_ref, line_age=meta.get("line_age", 0))

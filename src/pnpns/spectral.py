@@ -255,8 +255,17 @@ def make_grid(n_modes: int) -> Grid:
 
 
 @dataclass
-class ScalarField:
-    """Real field sampled on the collocation grid (values[i, j] = f(x_i, y_j))."""
+class Field:
+    """Real samples on the collocation grid: one (N, N) field or a (2, N, N) stack.
+
+    values[i, j] = f(x_i, y_j); a stack holds the (x, y) components of a
+    velocity, or the (p, n) species, on axis 0. The values must be finite
+    and match the grid. A float64 array is held as given, not copied, so a
+    read-only array stays read-only.
+
+    SimState keeps every array in a Field until a benchmark change compares
+    bare arrays whole; its docstring says why.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -264,47 +273,12 @@ class ScalarField:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         n = self.grid.n_modes
-        if self.values.shape != (n, n):
+        if self.values.shape not in ((n, n), (2, n, n)):
             raise GridMismatchError(
-                f"expected shape {(n, n)}, got {self.values.shape}"
+                f"expected shape {(n, n)} or {(2, n, n)}, got {self.values.shape}"
             )
         if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "ScalarField":
-        return cls(grid, grid.sample(fn))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "ScalarField":
-        return cls(grid, np.full((grid.n_modes, grid.n_modes), float(value)))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-
-@dataclass
-class VectorField:
-    """Pair of scalar components on one grid."""
-
-    x_comp: ScalarField
-    y_comp: ScalarField
-
-    def __post_init__(self):
-        if self.x_comp.grid != self.y_comp.grid:
-            raise GridMismatchError("vector components live on different grids")
-
-    @property
-    def grid(self) -> Grid:
-        return self.x_comp.grid
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, vx: np.ndarray, vy: np.ndarray) -> "VectorField":
-        return cls(ScalarField(grid, vx), ScalarField(grid, vy))
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        return cls.from_arrays(grid, np.zeros((grid.n_modes,) * 2), np.zeros((grid.n_modes,) * 2))
 
 
 def _check_mobility(m_values: np.ndarray) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveConcentrationError
-from .spectral import Grid, ScalarField, VectorField
+from .spectral import Field, Grid
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -67,28 +67,29 @@ class SimState:
     """Discrete state at one time level.
 
     p, n are the ion concentrations (positive everywhere), psi the zero-mean
-    electric potential, u the projected velocity, phi the zero-mean modified
-    pressure. line_ref is the stacked (2, N, N) concentrations at which the
-    next ion step's line preconditioner is built, and line_age the number of
-    steps that have used it (None and 0 when the last step took the
-    spectral path, or none was taken); the array is never written to.
+    electric potential, u the projected velocity as one (2, N, N) stack, phi
+    the zero-mean modified pressure. line_ref is the stacked (2, N, N)
+    concentrations at which the next ion step's line preconditioner is
+    built, and line_age the number of steps that have used it (None and 0
+    when the last step took the spectral path, or none was taken); its
+    array is never written to.
 
-    The step layers below integrator.advance work on arrays; the fields stay
-    ScalarField/VectorField containers here, at the public boundary, because
+    The step layers below integrator.advance work on arrays; every array
+    field here stays wrapped in a Field, at the public boundary, because
     perfbench's fields_bytes (perfbench/run.py) compares a state by the
     .values of its containers and a bare array only through its repr, which
-    numpy shortens. Holding arrays waits for a benchmark change that compares
-    them whole.
+    numpy shortens. Holding bare arrays waits for a benchmark change that
+    compares them whole.
     """
 
-    p: ScalarField
-    n: ScalarField
-    psi: ScalarField
-    u: VectorField
-    phi: ScalarField
+    p: Field
+    n: Field
+    psi: Field
+    u: Field
+    phi: Field
     step_index: int = 0
     time: float = 0.0
-    line_ref: np.ndarray | None = None
+    line_ref: Field | None = None
     line_age: int = 0
 
     @property
@@ -145,7 +146,7 @@ class StepDiagnostics:
     wall_time_s: float = 0.0
 
 
-def mass(f: ScalarField) -> float:
+def mass(f: Field) -> float:
     """Total amount <f, 1> carried by the field."""
     return f.grid.integral(f.values)
 
@@ -175,8 +176,8 @@ def total_energy(state: SimState, params: PhysParams, dt: float) -> EnergyBreakd
     gx, gy = grid.grad(state.psi.values)
     field_part = 0.5 * params.epsilon * (grid.inner(gx, gx) + grid.inner(gy, gy))
 
-    kinetic = 0.5 * (grid.inner(state.u.x_comp.values, state.u.x_comp.values)
-                     + grid.inner(state.u.y_comp.values, state.u.y_comp.values))
+    ux, uy = state.u.values
+    kinetic = 0.5 * (grid.inner(ux, ux) + grid.inner(uy, uy))
 
     px, py = grid.grad(state.phi.values)
     pressure_aug = 0.5 * dt * dt * (grid.inner(px, px) + grid.inner(py, py))

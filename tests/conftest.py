@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pnpns.pnp import compute_psi
-from pnpns.spectral import Grid, ScalarField, VectorField, make_grid
+from pnpns.spectral import Field, Grid, make_grid
 from pnpns.state import SimState
 
 
@@ -83,20 +83,30 @@ def admissible_state(grid: Grid, rng, wobble: float = 0.3,
     p_vals = positive_field(grid, rng, wobble=wobble)
     n_vals = positive_field(grid, rng, wobble=wobble)
     n_vals += p_vals.mean() - n_vals.mean()  # equal masses
-    p = ScalarField(grid, p_vals)
-    n = ScalarField(grid, n_vals)
-    psi = ScalarField(grid, compute_psi(grid, p_vals, n_vals, 1.0))
-    ux, uy = div_free_velocity(grid, rng, amplitude=speed)
-    u = VectorField.from_arrays(grid, ux, uy)
+    psi = Field(grid, compute_psi(grid, p_vals, n_vals, 1.0))
+    u = Field(grid, np.stack(div_free_velocity(grid, rng, amplitude=speed)))
     phi_vals = band_limited(grid, rng, amplitude=0.2)
-    phi = ScalarField(grid, phi_vals - phi_vals.mean())
-    return SimState(p=p, n=n, psi=psi, u=u, phi=phi, step_index=0, time=0.0)
+    phi = Field(grid, phi_vals - phi_vals.mean())
+    return SimState(p=Field(grid, p_vals), n=Field(grid, n_vals), psi=psi, u=u, phi=phi,
+                    step_index=0, time=0.0)
+
+
+def at_rest(grid: Grid, p: np.ndarray, n: np.ndarray) -> SimState:
+    """State with concentrations p and n, no potential, velocity or pressure."""
+    zero = np.zeros((grid.n_modes, grid.n_modes))
+    return SimState(p=Field(grid, p), n=Field(grid, n), psi=Field(grid, zero),
+                    u=Field(grid, np.zeros((2, *zero.shape))), phi=Field(grid, zero))
+
+
+def rest_state(grid: Grid, p_value: float = 1.0, n_value: float | None = None) -> SimState:
+    """Uniform concentrations p_value and n_value (default p_value) at rest."""
+    n_value = p_value if n_value is None else n_value
+    shape = (grid.n_modes, grid.n_modes)
+    return at_rest(grid, np.full(shape, float(p_value)), np.full(shape, float(n_value)))
 
 
 def contrast_state(grid: Grid, rng, log_range: float = 12.0) -> SimState:
     """Previous state at rest whose concentrations span a contrast of about e^log_range."""
     p, n = (np.exp(band_limited(grid, rng, amplitude=0.5 * log_range)) for _ in range(2))
     n *= p.sum() / n.sum()
-    zero = ScalarField.constant(grid, 0.0)
-    return SimState(p=ScalarField(grid, p), n=ScalarField(grid, n), psi=zero,
-                    u=VectorField.zero(grid), phi=zero.copy())
+    return at_rest(grid, p, n)

@@ -316,7 +316,7 @@ def test_criterion_5_uniform_rest_state():
     assert np.abs(final.n.values - p0).max() <= 1e-11
     assert np.abs(final.psi.values).max() <= 1e-11
     assert np.abs(final.phi.values).max() <= 1e-11
-    assert final.grid.norm(np.stack((final.u.x_comp.values, final.u.y_comp.values))) <= 1e-11
+    assert final.grid.norm(final.u.values) <= 1e-11
     for diag in record.diagnostics:
         assert abs(diag.energy.total - e0) <= 1e-12 * abs(e0)
     _report("5 trivial steady state",

@@ -28,7 +28,7 @@ from pnpns.snapshot import (
     read_snapshot_meta,
     write_snapshot,
 )
-from pnpns.spectral import ScalarField
+from pnpns.spectral import Field
 from pnpns.state import PhysParams, SchemeConfig, mass
 
 
@@ -156,8 +156,7 @@ class TestSnapshot:
         for name in ("p", "n", "psi", "phi"):
             assert np.array_equal(getattr(loaded, name).values,
                                   getattr(state, name).values)
-        assert np.array_equal(loaded.u.x_comp.values, state.u.x_comp.values)
-        assert np.array_equal(loaded.u.y_comp.values, state.u.y_comp.values)
+        assert np.array_equal(loaded.u.values, state.u.values)
         assert loaded.time == state.time
         assert loaded.step_index == state.step_index
         assert PhysParams(**read_snapshot_meta(path)["params"]) == params
@@ -181,7 +180,7 @@ class TestSnapshot:
         state, params = sample_state
         p_vals = state.p.values.copy()
         p_vals[0, 0] = -1.0
-        bad = dataclasses.replace(state, p=ScalarField(state.grid, p_vals))
+        bad = dataclasses.replace(state, p=Field(state.grid, p_vals))
         path = write_snapshot(bad, params, tmp_path / "snap.bin")
         with pytest.raises(NonPositiveConcentrationError):
             read_snapshot(path)
@@ -228,7 +227,7 @@ class TestSnapshot:
     def with_line_reference(state, age=1, ref=None):
         if ref is None:
             ref = np.stack((state.p.values, state.n.values))
-        return dataclasses.replace(state, line_ref=ref, line_age=age)
+        return dataclasses.replace(state, line_ref=Field(state.grid, ref), line_age=age)
 
     def test_round_trip_keeps_the_line_reference(self, tmp_path, sample_state):
         state, params = sample_state
@@ -237,8 +236,8 @@ class TestSnapshot:
         assert read_snapshot_meta(path)["fields"] == list(FIELD_ORDER + REF_FIELDS)
         loaded = read_snapshot(path)
         assert loaded.line_age == LINE_REBUILD_PERIOD
-        assert np.array_equal(loaded.line_ref, state.line_ref)
-        assert not loaded.line_ref.flags.writeable
+        assert np.array_equal(loaded.line_ref.values, state.line_ref.values)
+        assert not loaded.line_ref.values.flags.writeable
         assert read_snapshot(write_snapshot(sample_state[0], params, path)).line_ref is None
 
     def test_nonpositive_line_reference_rejected(self, tmp_path, sample_state, capsys):

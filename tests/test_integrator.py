@@ -11,6 +11,7 @@ from pnpns import integrator, mms, ns, pnp
 from pnpns.config import blob_concentration
 from pnpns.errors import (
     ConfigError,
+    GridMismatchError,
     NetChargeError,
     NoConvergenceError,
     NonPositiveConcentrationError,
@@ -18,6 +19,7 @@ from pnpns.errors import (
 from pnpns.integrator import advance, initialize, run
 from pnpns.pnp import Step1System
 from pnpns.snapshot import read_snapshot, write_snapshot
+from pnpns.spectral import Field
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 TWO_PI = 2.0 * np.pi
@@ -37,8 +39,7 @@ class TestInitialize:
             np.stack((state.p.values, state.n.values)))
         assert np.abs(mu[0]).max() <= 1e-14
         assert np.abs(mu[1]).max() <= 1e-14
-        assert np.abs(state.u.x_comp.values).max() == 0.0
-        assert np.abs(state.u.y_comp.values).max() == 0.0
+        assert np.abs(state.u.values).max() == 0.0
         assert np.abs(state.phi.values).max() == 0.0
 
     def test_blob_preset(self):
@@ -71,8 +72,14 @@ class TestInitialize:
                            (rng.standard_normal((16, 16)), rng.standard_normal((16, 16))),
                            PhysParams(), cfg)
         grid = state.grid
-        u = np.stack((state.u.x_comp.values, state.u.y_comp.values))
+        u = state.u.values
         assert grid.norm(grid.div(*u)) <= 1e-11 * max(1.0, grid.norm(u))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16,)])
+    def test_rejects_velocity_on_another_grid(self, shape):
+        with pytest.raises(GridMismatchError):
+            initialize(lambda x, y: np.ones_like(x), lambda x, y: np.ones_like(x),
+                       (np.zeros(shape), np.zeros(shape)), PhysParams(), uniform_cfg())
 
     def test_rejects_net_charge(self):
         cfg = uniform_cfg()
@@ -104,7 +111,7 @@ class TestAdvance:
         new, diag = advance(state, params, cfg)
         assert np.abs(new.p.values - state.p.values).max() <= 1e-12
         assert np.abs(new.n.values - state.n.values).max() <= 1e-12
-        assert new.grid.norm(np.stack((new.u.x_comp.values, new.u.y_comp.values))) <= 1e-12
+        assert new.grid.norm(new.u.values) <= 1e-12
         assert diag.newton_iters == 0
 
     def test_blob_step_dissipates_energy(self):
@@ -125,7 +132,7 @@ class TestAdvance:
         state = case.initial_state(cfg, t=0.4)
         new, _ = advance(state, params, cfg, sources=case)
         grid = new.grid
-        u = np.stack((new.u.x_comp.values, new.u.y_comp.values))
+        u = new.u.values
         assert grid.norm(grid.div(*u)) <= 1e-11 * max(1.0, grid.norm(u))
 
 
@@ -232,10 +239,8 @@ class TestRun:
 
         a = final_state()
         b = final_state()
-        for field in ("p", "n", "psi", "phi"):
+        for field in ("p", "n", "psi", "u", "phi"):
             assert np.array_equal(getattr(a, field).values, getattr(b, field).values)
-        assert np.array_equal(a.u.x_comp.values, b.u.x_comp.values)
-        assert np.array_equal(a.u.y_comp.values, b.u.y_comp.values)
 
 
 def blob_run(n_modes, steps):
@@ -248,14 +253,12 @@ def blob_run(n_modes, steps):
 
 
 def assert_same_state(a, b):
-    for name in ("p", "n", "psi", "phi"):
+    for name in ("p", "n", "psi", "u", "phi"):
         assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
-    assert np.array_equal(a.u.x_comp.values, b.u.x_comp.values)
-    assert np.array_equal(a.u.y_comp.values, b.u.y_comp.values)
     assert (a.step_index, a.time, a.line_age) == (b.step_index, b.time, b.line_age)
     assert (a.line_ref is None) == (b.line_ref is None)
     if a.line_ref is not None:
-        assert np.array_equal(a.line_ref, b.line_ref)
+        assert np.array_equal(a.line_ref.values, b.line_ref.values)
 
 
 @pytest.fixture
@@ -343,15 +346,15 @@ class TestLineFactorReuse:
         after, _ = advance(loaded, params, cfg)
         assert builds["calls"] == built + 2
         assert after.line_age == 1
-        assert np.array_equal(after.line_ref, np.stack((loaded.p.values, loaded.n.values)))
+        assert np.array_equal(after.line_ref.values, np.stack((loaded.p.values, loaded.n.values)))
 
     def test_spectral_step_drops_the_reference(self):
         params = PhysParams()
         cfg = uniform_cfg(n=16, dt=0.02, steps=1)
         case = mms.make_case(params)
         blob, *_ = blob_run(16, steps=1)
-        state = dataclasses.replace(case.initial_state(cfg), line_ref=np.stack(
-            (blob.p.values, blob.n.values)), line_age=2)
+        state = dataclasses.replace(case.initial_state(cfg), line_ref=Field(
+            blob.grid, np.stack((blob.p.values, blob.n.values))), line_age=2)
         after, _ = advance(state, params, cfg, sources=case)
         assert after.line_ref is None and after.line_age == 0
 
@@ -392,8 +395,10 @@ class TestNonFiniteSources:
 
     def test_nan_momentum_source_is_no_convergence(self):
         state, params, cfg, case = self.mms_step()
-        with pytest.raises(NoConvergenceError, match="velocity solve stalled"):
+        with pytest.raises(NoConvergenceError,
+                           match="velocity right-hand side is not finite") as failure:
             advance(state, params, cfg, sources=NanSource(case, "momentum_source"))
+        assert failure.value.iterations == 0
 
 
 #: the module attributes through which perfbench/tracing.py times each layer,

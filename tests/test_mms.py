@@ -14,7 +14,7 @@ import pnpns
 from pnpns import mms
 from pnpns.errors import ConfigError
 from pnpns.integrator import advance
-from pnpns.spectral import ScalarField, VectorField, make_grid
+from pnpns.spectral import Field, make_grid
 from pnpns.state import PhysParams, SchemeConfig, mass
 
 from oracles import FdForcingOracle
@@ -48,14 +48,14 @@ class TestExactState:
         assert np.abs(p.values - 1.1).max() <= 1e-15
         expected_n = 1.1 - np.cos(grid16.xx) * np.cos(grid16.yy)
         assert np.abs(n.values - expected_n).max() <= 1e-15
-        assert np.abs(u.x_comp.values).max() <= 1e-15
-        assert np.abs(u.y_comp.values).max() <= 1e-15  # sin(0) factor
+        assert u.values.shape == (2, 16, 16)
+        assert np.abs(u.values).max() <= 1e-15  # sin(0) factor
 
     def test_initial_time_paper_variant_velocity(self, paper_case, grid16):
         _, _, u, _, _ = paper_case.exact_state(0.0, grid16)
         expected = -np.sin(2 * grid16.xx) * np.sin(grid16.yy) ** 2
-        assert np.abs(u.x_comp.values).max() <= 1e-15
-        assert np.abs(u.y_comp.values - expected).max() <= 1e-14
+        assert np.abs(u.values[0]).max() <= 1e-15
+        assert np.abs(u.values[1] - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
     def test_mass_is_time_independent(self, case, grid16, t):
@@ -76,12 +76,12 @@ class TestExactState:
     def test_divergence_free_variant_is_solenoidal(self, case, grid16):
         for t in (0.3, 1.1):
             _, _, u, _, _ = case.exact_state(t, grid16)
-            div = grid16.div(u.x_comp.values, u.y_comp.values)
+            div = grid16.div(*u.values)
             assert np.abs(div).max() <= 1e-13
 
     def test_paper_variant_is_not_solenoidal(self, paper_case, grid16):
         _, _, u, _, _ = paper_case.exact_state(0.7, grid16)
-        div = grid16.div(u.x_comp.values, u.y_comp.values)
+        div = grid16.div(*u.values)
         expected = (np.sin(2 * grid16.xx) * np.sin(2 * grid16.yy)
                     * (math.sin(0.7) - math.cos(0.7)))
         assert np.abs(div - expected).max() <= 1e-12
@@ -236,24 +236,24 @@ class TestSpatialConvergence:
 
 class TestL2Error:
     def test_identical_fields(self, grid16):
-        f = ScalarField.from_function(grid16, lambda x, y: np.sin(3 * x))
-        assert mms.l2_error(f, f.copy()) == 0.0
+        f = Field(grid16, np.sin(3 * grid16.xx))
+        assert mms.l2_error(f, Field(grid16, f.values.copy())) == 0.0
 
     def test_single_harmonic_difference(self, grid16):
-        f = ScalarField.from_function(grid16, lambda x, y: np.cos(x))
-        zero = ScalarField.constant(grid16, 0.0)
+        f = Field(grid16, np.cos(grid16.xx))
+        zero = Field(grid16, np.zeros((16, 16)))
         assert mms.l2_error(f, zero) == pytest.approx(math.sqrt(2.0 * np.pi**2),
                                                       rel=1e-13)
 
     def test_constant_difference(self, grid16):
         c = 0.37
-        f = ScalarField.constant(grid16, c)
-        zero = ScalarField.constant(grid16, 0.0)
+        f = Field(grid16, np.full((16, 16), c))
+        zero = Field(grid16, np.zeros((16, 16)))
         assert mms.l2_error(f, zero) == pytest.approx(c * TWO_PI, rel=1e-13)
 
     def test_vector_fields(self, grid16):
-        u = VectorField.from_arrays(grid16, np.cos(grid16.xx), np.cos(grid16.xx))
-        zero = VectorField.zero(grid16)
+        u = Field(grid16, np.stack((np.cos(grid16.xx), np.cos(grid16.xx))))
+        zero = Field(grid16, np.zeros((2, 16, 16)))
         assert mms.l2_error(u, zero) == pytest.approx(math.sqrt(4.0 * np.pi**2),
                                                       rel=1e-13)
 

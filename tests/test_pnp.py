@@ -19,10 +19,16 @@ from pnpns.pnp import (
     mobility,
     solve_step1,
 )
-from pnpns.spectral import ScalarField, VectorField, make_grid
-from pnpns.state import PhysParams, SchemeConfig, SimState, mass
+from pnpns.spectral import make_grid
+from pnpns.state import PhysParams, SchemeConfig, mass
 
-from conftest import admissible_state, band_limited, contrast_state, div_free_velocity
+from conftest import (
+    admissible_state,
+    band_limited,
+    contrast_state,
+    div_free_velocity,
+    rest_state,
+)
 from oracles import dense_solve_zero_mean, dense_weighted_laplacian
 
 TWO_PI = 2.0 * np.pi
@@ -75,10 +81,7 @@ def counting_gmres(monkeypatch):
 
 def rest_system(grid, params=PhysParams(), dt=0.1):
     """Step1System from the uniform unit state at rest."""
-    one = ScalarField.constant(grid, 1.0)
-    zero = ScalarField.constant(grid, 0.0)
-    prev = SimState(p=one, n=one.copy(), psi=zero, u=VectorField.zero(grid), phi=zero.copy())
-    return Step1System(prev, params, dt)
+    return Step1System(rest_state(grid), params, dt)
 
 
 class TestComputePsi:
@@ -150,12 +153,9 @@ class TestMobility:
 
 class TestResidual:
     def test_uniform_steady_state(self, grid16):
-        p = ScalarField.constant(grid16, 1.4)
-        zero = ScalarField.constant(grid16, 0.0)
-        u = VectorField.zero(grid16)
-        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
+        prev = rest_state(grid16, 1.4)
         r_p, r_n = Step1System(prev, PhysParams(), dt=0.1).residual(
-            np.stack((p.values, p.values)))
+            np.stack((prev.p.values, prev.p.values)))
         assert np.abs(r_p).max() <= 1e-12
         assert np.abs(r_n).max() <= 1e-12
 
@@ -172,8 +172,7 @@ class TestResidual:
         from oracles import diff_matrices_2d
         dx, dy = diff_matrices_2d(8)
         pm, nm = state.p.values.ravel(), state.n.values.ravel()
-        ux = state.u.x_comp.values.ravel()
-        uy = state.u.y_comp.values.ravel()
+        ux, uy = (comp.ravel() for comp in state.u.values)
         lap1 = dense_weighted_laplacian(np.ones((8, 8)))
         charge = (cand_p - cand_n) / params.epsilon
         psi = dense_solve_zero_mean(lap1, charge).ravel()
@@ -196,11 +195,11 @@ class TestResidual:
 
     def test_rejects_nonpositive_candidate(self, grid16, rng):
         state = admissible_state(grid16, rng)
-        bad = state.p.copy()
-        bad.values[2, 3] = -0.1
+        bad = state.p.values.copy()
+        bad[2, 3] = -0.1
         with pytest.raises(NonPositiveConcentrationError):
             Step1System(state, PhysParams(), dt=0.1).residual(
-                np.stack((bad.values, state.n.values)))
+                np.stack((bad, state.n.values)))
 
 
 class TestJacobian:
@@ -319,7 +318,7 @@ class TestLinePathKernel:
         grid = state.grid
         c_old = np.stack((state.p.values, state.n.values))
         m = mobility(c_old, dt, params.kappa, params.diffusion)
-        ux, uy = state.u.x_comp.values, state.u.y_comp.values
+        ux, uy = state.u.values
         conv = np.stack([grid.div(ci * ux, ci * uy) for ci in c_old])
         expected = ((c - c_old) / dt + conv
                     - transform_flux_div(grid, params, m, np.log(c), c[0] - c[1]))
@@ -505,10 +504,7 @@ class TestLinePreconditioner:
 
 class TestFunctional:
     def test_uniform_rest_value(self, grid16):
-        p = ScalarField.constant(grid16, 1.0)
-        zero = ScalarField.constant(grid16, 0.0)
-        u = VectorField.zero(grid16)
-        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
+        prev = rest_state(grid16)
         value = Step1System(prev, PhysParams(), dt=0.1).objective(np.ones((2, 16, 16)))
         assert value == pytest.approx(-2.0 * TWO_PI**2, rel=1e-12)
 
@@ -552,15 +548,12 @@ class TestFunctional:
 
 class TestSolveStep1:
     def test_uniform_fixed_point(self, grid16):
-        p = ScalarField.constant(grid16, 1.0)
-        zero = ScalarField.constant(grid16, 0.0)
-        u = VectorField.zero(grid16)
-        prev = SimState(p=p, n=p.copy(), psi=zero, u=u, phi=zero.copy())
+        prev = rest_state(grid16)
         cfg = SchemeConfig(n_modes=16, dt=0.1, t_final=0.1)
         result = solve_step1(prev, PhysParams(), cfg.dt, cfg)
         assert result.newton_iters == 0
-        assert np.array_equal(result.c[0], p.values)
-        assert np.array_equal(result.c[1], p.values)
+        assert np.array_equal(result.c[0], prev.p.values)
+        assert np.array_equal(result.c[1], prev.p.values)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_mass_and_positivity(self, grid8, seed):

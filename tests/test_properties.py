@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from pnpns.errors import NoConvergenceError, NonZeroMeanError, PnpnsError
 from pnpns.integrator import advance, initialize
 from pnpns.pnp import compute_psi
-from pnpns.spectral import ScalarField, make_grid
+from pnpns.spectral import Field, make_grid
 from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 from conftest import admissible_state
@@ -31,7 +31,7 @@ def start(n_modes, dt, kappa, epsilon, seed):
     state = admissible_state(make_grid(n_modes), np.random.default_rng(seed))
     # admissible_state solves for psi at epsilon = 1; the energy needs this epsilon's
     psi = compute_psi(state.grid, state.p.values, state.n.values, epsilon)
-    state = dataclasses.replace(state, psi=ScalarField(state.grid, psi))
+    state = dataclasses.replace(state, psi=Field(state.grid, psi))
     return state, params, cfg
 
 
@@ -103,7 +103,7 @@ def test_large_kappa_dt_step_reaches_newton_threshold():
 
 def test_net_charged_state_is_rejected():
     state, params, cfg = start(8, 0.01, 1.0, 0.5, 428)
-    charged = dataclasses.replace(state, n=ScalarField(state.grid, 1.001 * state.n.values))
+    charged = dataclasses.replace(state, n=Field(state.grid, 1.001 * state.n.values))
     with pytest.raises(NonZeroMeanError):
         compute_psi(state.grid, charged.p.values, charged.n.values, params.epsilon)
     with pytest.raises(NonZeroMeanError):

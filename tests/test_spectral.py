@@ -9,7 +9,7 @@ from pnpns.errors import (
     NonPositiveMobilityError,
     NonZeroMeanError,
 )
-from pnpns.spectral import Grid, ScalarField, VectorField, make_grid
+from pnpns.spectral import Field, Grid, make_grid
 
 from conftest import band_limited, positive_field
 from oracles import dense_solve_zero_mean, dense_weighted_laplacian, direct_dft2
@@ -27,20 +27,34 @@ class TestGridBasics:
         g = make_grid(16)
         assert g.weight == pytest.approx((TWO_PI / 16) ** 2, rel=0, abs=0)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (2, 16, 16)])
+    def test_field_holds_a_field_or_a_stack(self, grid16, shape):
+        values = np.ones(shape)
+        field = Field(grid16, values)
+        assert field.values is values  # a float64 array is held, not copied
+
     def test_scalar_field_shape_check(self, grid16):
         with pytest.raises(GridMismatchError):
-            ScalarField(grid16, np.zeros((8, 8)))
+            Field(grid16, np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (2, 8, 8), (16,), (1, 16, 16), ()])
+    def test_stack_shape_check(self, grid16, shape):
+        with pytest.raises(GridMismatchError):
+            Field(grid16, np.zeros(shape))
 
     def test_scalar_field_rejects_nan(self, grid16):
         bad = np.zeros((16, 16))
         bad[3, 3] = np.nan
         with pytest.raises(ValueError):
-            ScalarField(grid16, bad)
+            Field(grid16, bad)
 
-    def test_vector_field_grid_mismatch(self, grid8, grid16):
-        with pytest.raises(GridMismatchError):
-            VectorField(ScalarField.constant(grid8, 0.0),
-                        ScalarField.constant(grid16, 0.0))
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    def test_stack_rejects_nonfinite_in_each_component(self, grid16, component, bad_value):
+        bad = np.zeros((2, 16, 16))
+        bad[component, 3, 5] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            Field(grid16, bad)
 
 
 def amplitudes(grid: Grid, values: np.ndarray) -> np.ndarray:
