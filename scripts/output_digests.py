@@ -1,6 +1,6 @@
 """Run the byte-identity reference runs and print a digest of every file they write.
 
-    python scripts/output_digests.py OUTDIR [--src SRC]
+    python scripts/output_digests.py OUTDIR [--src SRC] [--compare OTHER_DIR]
 
 Four CLI runs go into subdirectories of OUTDIR, each in a fresh process:
 
@@ -22,17 +22,30 @@ A refactor that promises byte-identical output is checked by running this
 twice, on a checkout of the parent commit (``--src parent/src``) and on the
 change, in the same environment (BLAS thread counts included), and diffing
 the two listings.
+
+A change that is not byte-identical is checked numerically: with
+``--compare OTHER_DIR``, an earlier OUTDIR of this script, the listing is
+followed by one line per CSV column and per snapshot field present in both
+trees, with the largest relative difference |a - b| / max(|a|, |b|) over
+its entries. A snapshot field's line also gives the largest difference
+relative to the field's largest value, max |a - b| / max |b|. A column whose
+entries are all integers must be equal: the script exits 1 if one is not,
+or if a CSV, snapshot, column or field is in one tree only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -81,17 +94,94 @@ def digests(out_dir: Path) -> list[str]:
             for path in sorted(out_dir.rglob("*")) if path.is_file()]
 
 
+def _relative(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the entries, 0 where both are equal."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    diff = np.abs(a - b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.where(diff == 0.0, 0.0, diff / scale)
+    return float(rel.max(initial=0.0))
+
+
+def _csv_columns(path: Path) -> dict[str, list[str]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+
+
+def _snapshot_fields(path: Path) -> dict[str, np.ndarray]:
+    """The fields of a snapshot (layout: pnpns.snapshot), by name."""
+    data = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", data[12:16])
+    meta = json.loads(data[64:64 + meta_len])
+    n = meta["n_modes"]
+    flat = np.frombuffer(data, dtype="<f8", offset=64 + meta_len)
+    return {name: flat[k * n * n:(k + 1) * n * n] for k, name in enumerate(meta["fields"])}
+
+
+def compare(out_dir: Path, other_dir: Path) -> list[str]:
+    """Numeric differences of out_dir's CSV columns and snapshot fields from other_dir's.
+
+    Returns the report lines; a line that starts with "UNEQUAL" or "MISSING"
+    fails the comparison.
+    """
+    lines = []
+    files = sorted({p.relative_to(d) for d in (out_dir, other_dir) for p in d.rglob("*")
+                    if p.suffix in (".csv", ".bin")})
+    for rel in files:
+        ours, theirs = out_dir / rel, other_dir / rel
+        if not (ours.is_file() and theirs.is_file()):
+            lines.append(f"MISSING  {rel}: in one tree only")
+            continue
+        read = _csv_columns if rel.suffix == ".csv" else _snapshot_fields
+        a_cols, b_cols = read(ours), read(theirs)
+        lines += [f"MISSING  {rel}:{name}: in one tree only" for name in a_cols.keys() ^ b_cols.keys()]
+        if rel.suffix == ".csv":
+            for name in a_cols.keys() & b_cols.keys():
+                a, b = a_cols[name], b_cols[name]
+                if len(a) != len(b):
+                    lines.append(f"UNEQUAL  {rel}:{name}: {len(a)} rows against {len(b)}")
+                elif all(v.lstrip("-").isdigit() for v in a + b):
+                    equal = a == b
+                    lines.append(f"{'integer' if equal else 'UNEQUAL'}  {rel}:{name}: "
+                                 f"{'equal' if equal else 'differs'}")
+                else:
+                    # equal cells, such as an empty first order in convergence.csv, differ by 0
+                    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+                    try:
+                        rel_diff = _relative(*np.array(pairs, dtype=float).reshape(-1, 2).T)
+                    except ValueError:
+                        lines.append(f"UNEQUAL  {rel}:{name}: non-numeric cells differ")
+                        continue
+                    lines.append(f"{rel_diff:.3e}  {rel}:{name}")
+        else:
+            for name in a_cols.keys() & b_cols.keys():
+                a, b = a_cols[name], b_cols[name]
+                of_max = float(np.abs(a - b).max() / max(np.abs(b).max(), np.finfo(float).tiny))
+                lines.append(f"{_relative(a, b):.3e}  {rel}:{name}  "
+                             f"(of the field's largest value: {of_max:.3e})")
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path, help="new or empty directory for the runs")
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
                         help="source tree holding the pnpns package (default: this checkout's)")
+    parser.add_argument("--compare", type=Path, metavar="OTHER_DIR",
+                        help="an earlier OUTDIR to compare the new runs with numerically")
     args = parser.parse_args(argv)
     if args.outdir.exists() and any(args.outdir.iterdir()):
         parser.error(f"{args.outdir} is not empty")
+    if args.compare is not None and not args.compare.is_dir():
+        parser.error(f"{args.compare} is not a directory")
     run_all(args.outdir, args.src.resolve())
     print("\n".join(digests(args.outdir)))
-    return 0
+    if args.compare is None:
+        return 0
+    report = compare(args.outdir, args.compare)
+    print("\n".join(report))
+    return int(any(line.startswith(("UNEQUAL", "MISSING")) for line in report))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,26 @@
-"""Restarted GMRES on a preallocated basis.
+"""Restarted flexible GMRES on a preallocated basis.
 
-Solves A x = b for a matrix-free operator; the residual the Hessenberg
-problem minimizes is b - A x, and the stopping test bounds it directly:
-||b - A x|| <= rtol ||b||, the relative test inexact Newton uses. A caller
-that preconditions on the right passes the product A M as the operator and
-maps the solution back itself, x = M y: the residual is then still the one
-of the original system, and the caller can fuse the two maps into one.
+Solves J x = b for a matrix-free operator J with a right preconditioner P
+that may change from one product to the next (flexible GMRES; Saad, SIAM J.
+Sci. Comput. 14, 1993). The operator GMRES takes maps a basis vector v_k
+to the pair (J P v_k, P v_k); the solve keeps each z_k = P v_k and returns
+x = sum_k y_k z_k, the solution itself, with no P applied afterwards. The
+flexible Arnoldi relation J Z_m = V_{m+1} H_m, with H_m the (m+1) x m
+Hessenberg matrix, holds whatever P did, so the residual the Hessenberg
+problem minimizes is b - J x of the x returned, and the stopping test
+bounds it directly: ||b - J x|| <= rtol ||b||, the relative test inexact
+Newton uses. That is what lets an inexact P, such as one applied in single
+precision, serve a double-precision solve (Arioli & Duff, ETNA 33, 2009);
+the update P(V y) of a fixed-preconditioner GMRES is not the x whose
+residual the test bounded once P varies.
 
 The test reads the Givens estimate |g_m| of that residual, which the
-rotations give at no cost, and the solve returns as soon as it is met. The
-explicit b - A x costs one more product and is formed only when a cycle
-ends without meeting the test: to restart from it, or to decide the
-reported info after the last cycle.
+rotations give at no cost, and the solve returns as soon as it is met. A
+cycle that ends without meeting it restarts from the residual of its x,
+V_{m+1} (beta e_1 - H_m y), which the basis and the rotations give without
+another product: every product is one inner iteration. Each z_k is kept by
+reference, the array the operator allocated, so the operator must not
+write to it again.
 
 Each new direction is orthogonalized against the whole basis block at once
 by classical Gram-Schmidt applied twice (two matrix-vector products per
@@ -30,8 +39,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import daxpy
 
-Operator = Callable[[np.ndarray], np.ndarray]
+#: v -> (J P v, P v): the first array is GMRES's to overwrite, the second it keeps
+Operator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _EPS = np.finfo(float).eps
 
@@ -40,18 +51,18 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
           restart: int = 20, maxiter: int = 1,
           callback: Callable[[float], None] | None = None,
           callback_type: str | None = None) -> tuple[np.ndarray, int]:
-    """Solve A x = b from x = 0 with at most maxiter cycles of restart steps.
+    """Solve J x = b from x = 0 with at most maxiter cycles of restart steps.
 
-    A is a callable on flat vectors. callback, when given, is called once
-    per inner iteration with the relative residual estimate
-    ||b - A x_k|| / ||b||.
+    A maps a flat vector v to the pair (J P v, P v) of fresh flat arrays
+    (module docstring); P may differ from call to call. callback, when
+    given, is called once per inner iteration with the relative residual
+    estimate ||b - J x_k|| / ||b||.
     callback_type is accepted because perfbench's tracer (perfbench/tracing.py)
     passes callback_type="pr_norm" when it wraps pnp.gmres; only "pr_norm"
     (or None) is accepted, and it means the estimate above.
 
-    Returns (x, info): info = 0 when a cycle's residual estimate, or the
-    true residual ||b - A x|| formed at the end of an unconverged cycle,
-    meets the tolerance; otherwise the number of inner iterations performed.
+    Returns (x, info): info = 0 when a cycle's residual estimate meets the
+    tolerance; otherwise the number of inner iterations performed.
     """
     if callback_type not in (None, "pr_norm"):
         raise ValueError(f"unsupported callback_type {callback_type!r}")
@@ -67,14 +78,16 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
     residual, res_norm = b, b_norm
     iters = 0
 
-    for _cycle in range(maxiter):
+    for cycle in range(maxiter):
         basis[0] = residual / res_norm
         g = [res_norm]  # rotated right-hand side of the least-squares problem
         r_cols: list[list[float]] = []  # columns of the triangular factor
         rotations: list[tuple[float, float]] = []
+        directions = []  # z_k = P v_k, as the operator returned them
         converged = False
         for k in range(restart):
-            w = A(basis[k])
+            w, z = A(basis[k])
+            directions.append(z)
             w_norm = math.sqrt(w @ w)
             v = basis[:k + 1]
             h = v @ w
@@ -83,10 +96,10 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
             w -= h2 @ v
             h += h2
             h_next = math.sqrt(w @ w)
-            # happy breakdown: A v_k lies in the span, the solve is exact
-            breakdown = h_next <= _EPS * w_norm
-            if not breakdown:
+            if h_next > 0.0:
                 basis[k + 1] = w / h_next
+            # happy breakdown: J z_k lies in the span, the solve is exact
+            breakdown = h_next <= _EPS * w_norm
 
             col = h.tolist()
             for j, (c, s) in enumerate(rotations):
@@ -114,11 +127,17 @@ def gmres(A: Operator, b: np.ndarray, rtol: float = 1e-5,
         for j, col in enumerate(r_cols):
             r[:j + 1, j] = col
         y = solve_triangular(r, np.array(g[:m]), check_finite=False)
-        x += y @ basis[:m]
+        for y_k, z_k in zip(y.tolist(), directions):
+            x = daxpy(z_k, x, a=y_k)  # x += y_k z_k, in place
         if converged:
             return x, 0
-        residual = b - A(x)
+        if cycle + 1 == maxiter:
+            break
+        # b - J x = V_{m+1} Q^T (0, ..., 0, g_m): the rotations undone on the last entry
+        e = [0.0] * m + [g[m]]
+        for j in reversed(range(m)):
+            c, s = rotations[j]
+            e[j], e[j + 1] = c * e[j] - s * e[j + 1], s * e[j] + c * e[j + 1]
+        residual = np.array(e) @ basis[:m + 1]
         res_norm = math.sqrt(residual @ residual)
-        if res_norm <= tol:
-            return x, 0
     return x, max(iters, 1)

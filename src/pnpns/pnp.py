@@ -22,8 +22,17 @@ the charge's and psi's; at N <= 128 the matrix products cost less than the
 transforms they replace (Trefethen, Spectral Methods in MATLAB, 2000,
 ch. 3). psi and mu are formed in physical space once per step, at the
 solution. GMRES works on the Jacobian right-preconditioned by a per-species
-operator P, given as one product J P (Step1System.preconditioned_action);
-the update is P y. P is chosen once per step from the previous state:
+operator P: each Krylov product returns the pair (J P v, P v)
+(Step1System.preconditioned_action), and flexible GMRES (krylov.gmres)
+returns the Newton update itself, sum_k y_k P v_k, so P is applied once per
+product and never after the solve. P only shapes the Krylov space; the
+stopping test bounds ||J dc + r|| of the update returned whatever P did.
+That is why the line path can apply P in float32: a P that differs from
+its float64 form by ~1e-7 relative costs no products: the first three
+two-blob steps at N = 64 take 3 Newton iterations and 10 / 9 / 9 products
+either way. The update P y of a fixed-preconditioner GMRES would carry P's
+rounding into the step: 4 Newton iterations and 12 / 13 / 13 products
+there. P is chosen once per step from the previous state:
 
   * spectral path: (1/dt - D cbar lap)^{-1} with cbar the mean of M/c_old,
     diagonal in Fourier space; its spectra feed the Jacobian directly.
@@ -154,10 +163,9 @@ class Step1Result:
     c is the stacked (2, N, N) new concentrations (p, n), psi the potential
     and mu the stacked chemical potentials (ln p + psi, ln n - psi), all at
     the solution. krylov_iters and krylov_iters_max are the sum and the
-    largest, over the Newton iterations, of the Krylov products J P each
-    GMRES solve applied: one per GMRES iteration, plus one explicit residual
-    per restart cycle that ends unconverged (none for a solve that converges
-    in its first cycle).
+    largest, over the Newton iterations, of the Krylov products (J P v, P v)
+    each GMRES solve applied: one per GMRES iteration, restarts included
+    (krylov.gmres restarts from a residual it forms without a product).
     line_ref and line_age are the next state's (SimState).
     """
 
@@ -205,24 +213,36 @@ def _require_positive(c: np.ndarray) -> None:
             raise NonPositiveConcentrationError(f"{name} must be positive, min={m:.3e}")
 
 
-def line_blocks(d: np.ndarray, s: np.ndarray, m: np.ndarray,
+def line_outer(d: np.ndarray) -> np.ndarray:
+    """K[k, a N + b] = d[k, a] d[k, b]: the (N, N^2) operand of every stack of line blocks.
+
+    On its own memory map (_mapped), so its N^3 doubles go back to the
+    system once the build that formed it drops it.
+    """
+    n = d.shape[0]
+    outer = _mapped((n, n, n), np.float64)
+    np.multiply(d[:, :, None], d[:, None, :], out=outer)
+    return outer.reshape(n, n * n)
+
+
+def line_blocks(outer: np.ndarray, s: np.ndarray, m: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """The (N, N, N) stack of A = diag(s) - div(m grad .) restricted to each column.
 
-    d is the differentiation matrix (Grid.diff_matrix). Block j couples the
-    cells of column j, which only the x derivatives do:
-    d^T diag(m[:, j]) d, plus the diagonal s[:, j] + (m @ (d*d))[:, j], whose
-    second term is the y operator's own diagonal there. The blocks of the
-    rows are line_blocks(d, s.T, m.T). Each block is symmetric positive
-    definite where s > 0. Written to out when given.
+    outer is line_outer(d) for d the differentiation matrix (Grid.diff_matrix).
+    Block j couples the cells of column j, which only the x derivatives do:
+    d^T diag(m[:, j]) d = sum_k m[k, j] d[k, :]^T d[k, :], so the whole stack
+    is the one product m^T outer, plus the diagonal s[:, j] + (m @ (d*d))[:, j],
+    whose second term is the y operator's own diagonal there. The blocks of
+    the rows are line_blocks(outer, s.T, m.T). Each block is symmetric
+    positive definite where s > 0. Written to out when given.
     """
-    n = d.shape[0]
+    n = s.shape[0]
     if out is None:
         out = np.empty((n, n, n))
-    for block, mj in zip(out, m.T):
-        np.matmul(d.T * mj, d, out=block)
+    np.matmul(m.T, outer, out=out.reshape(n, n * n))
     diag = np.arange(n)
-    out[:, diag, diag] += (s + m @ (d * d)).T
+    out[:, diag, diag] += (s + m @ outer[:, ::n + 1]).T  # outer's diagonal is d*d
     return out
 
 
@@ -259,31 +279,54 @@ class LinePreconditioner:
     w = B_x^{-1} v, then w += B_y^{-1} (v - A w) with B_y the blocks of the
     rows; since B_x w = v, v - A w is -Y_off w. The spectral derivative
     couples the cells of one grid line densely, and a contrast of 1e6 in m
-    makes that coupling matter, which a line solve resolves exactly. Each
-    direction's blocks are inverted in place: 2 N^3 floats on their own
-    memory map, held by the process-wide slot (_line_factors), whose pages
-    go back to the system when the slot is replaced. From the malloc heap
-    they would stay resident, fragmented among the step's small arrays:
-    5-16 MB more peak memory on the two-blob run at N = 64.
+    makes that coupling matter, which a line solve resolves exactly.
+
+    Each direction's blocks are built and inverted in float64, in scratch,
+    a stack of N^3 doubles that the build lends every species, and stored
+    in float32: 2 N^3 4 bytes per species, half of what float64 factors
+    took, on their own memory map held by the process-wide slot
+    (_line_factors), whose pages go back to the system when the slot is
+    replaced. From the malloc heap they would stay resident, fragmented
+    among the step's small arrays: 5-16 MB more peak memory on the two-blob
+    run at N = 64. The sweeps apply the factors in float32, which halves the
+    bytes each solve reads; the y-coupling stays in float64. A solve then
+    differs from the float64 one by ~1e-7 relative, which flexible GMRES
+    absorbs (module docstring). Factoring in float32 (spotrf, spotri) is
+    not used: it was no faster on an N = 64 stack of the two-blob state (7.4
+    against 8.1 ms, one BLAS thread), and its inverse differs from the
+    float64 one by 2.3e-5 relative, where the float64 inverse rounded to
+    float32 differs by 2.4e-8.
     """
 
-    def __init__(self, d: np.ndarray, s: np.ndarray, m: np.ndarray):
+    def __init__(self, d: np.ndarray, s: np.ndarray, m: np.ndarray, outer: np.ndarray,
+                 scratch: np.ndarray):
         n = d.shape[0]
         self.d = d
         self.m = m
         self.y_diag = m @ (d * d)
-        pages = mmap.mmap(-1, 2 * n**3 * 8, flags=mmap.MAP_PRIVATE)
-        factors = np.frombuffer(pages, dtype=float).reshape(2, n, n, n)
-        self.inv_x = _invert_spd(line_blocks(d, s, m, out=factors[0]))
-        self.inv_y = _invert_spd(line_blocks(d, s.T, m.T, out=factors[1]))
+        factors = _mapped((2, n, n, n), np.float32)
+        for stack, (sd, md) in zip(factors, ((s, m), (s.T, m.T))):
+            stack[...] = _invert_spd(line_blocks(outer, sd, md, out=scratch))
+        self.inv_x, self.inv_y = factors
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """w ~ A^{-1} v for an (N, N) field v."""
         d = self.d
-        w = np.matmul(self.inv_x, v.T[:, :, None])[:, :, 0].T  # column by column
+        w = _line_solves(self.inv_x, v.T).T  # column by column
         y_w = (self.m * (w @ d.T)) @ d  # -d/dy(m dw/dy), row by row
-        w += np.matmul(self.inv_y, (self.y_diag * w - y_w)[:, :, None])[:, :, 0]
+        w += _line_solves(self.inv_y, self.y_diag * w - y_w)
         return w
+
+
+def _mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized array on its own private anonymous memory map."""
+    pages = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=dtype).reshape(shape)
+
+
+def _line_solves(inverses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """inverses[j] @ rhs[j] for every line j, in float32; a float64 (N, N) array back."""
+    return np.matmul(inverses, rhs.astype(np.float32)[:, :, None])[:, :, 0].astype(float)
 
 
 #: the one resident set of line factors: (reference, dt, params, one
@@ -300,8 +343,11 @@ def _line_factors(grid: Grid, ref: Field, dt: float,
     whose reference is a copy, rebuilds the same factors. A key on the
     array's content would let an unrelated state reuse factors it never
     built. A miss empties the slot before building, so at most one set
-    (4 N^3 floats) is resident. A thread that loses the slot to another
-    rebuilds; the Step1System it serves keeps its own set meanwhile.
+    (4 N^3 float32, 16 N^3 bytes) is resident. A thread that loses the slot
+    to another rebuilds; the Step1System it serves keeps its own set
+    meanwhile. A build forms the outer product of the differentiation matrix
+    (line_outer) and one float64 scratch stack once, for the four stacks,
+    and drops both when it ends: 16 N^3 bytes more while it runs.
     """
     global _line_slot
     slot = _line_slot
@@ -309,8 +355,11 @@ def _line_factors(grid: Grid, ref: Field, dt: float,
         return slot[3]
     _line_slot = slot = None  # the old factors go before the new ones are built
     d = params.diffusion
-    lines = [LinePreconditioner(grid.diff_matrix, ci / dt,
-                                d * mobility(ci, dt, params.kappa, d)) for ci in ref.values]
+    diff = grid.diff_matrix
+    outer = line_outer(diff)
+    scratch = _mapped((grid.n_modes,) * 3, np.float64)
+    lines = [LinePreconditioner(diff, ci / dt, d * mobility(ci, dt, params.kappa, d),
+                                outer, scratch) for ci in ref.values]
     _line_slot = (ref, dt, params, lines)
     return lines
 
@@ -410,16 +459,19 @@ class Step1System:
         """J(c) dc for a direction given as a (2, N, N) stack or its ravel; same shape back."""
         return self._jacobian(c, dc.reshape(c.shape)).reshape(dc.shape)
 
-    def preconditioned_action(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J(c) P v for P the preconditioner; same shape back.
+    def preconditioned_action(self, c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J(c) P v, P v) for P the preconditioner, both shaped like v.
 
-        The operator GMRES works on. On the spectral path P ends in the
-        spectra of P v, which give the Jacobian its charge spectrum, so P v
-        is transformed back once and never forward again: 16 transforms
-        where P followed by J takes 18. On the line path P takes none and J
-        transforms the charge forward and psi back: 2 transforms.
+        The operator GMRES works on: P is applied once per product, and
+        GMRES forms the update from the P v it keeps. On the spectral path P
+        ends in the spectra of P v, which give the Jacobian its charge
+        spectrum, so P v is transformed back once and never forward again:
+        16 transforms where P followed by J takes 18. On the line path P
+        takes none and J transforms the charge forward and psi back: 2
+        transforms.
         """
-        return self._jacobian(c, *self._precondition(v)).reshape(v.shape)
+        z, charge = self._precondition(v)
+        return self._jacobian(c, z, charge).reshape(v.shape), z.reshape(v.shape)
 
     def _jacobian(self, c: np.ndarray, direction: np.ndarray,
                   charge: np.ndarray | None = None) -> np.ndarray:
@@ -427,10 +479,6 @@ class Step1System:
         if charge is None:
             charge = self.grid.rfft(direction[0] - direction[1])
         return direction / self.dt - self._flux_div(direction / c, charge)
-
-    def preconditioner(self, v: np.ndarray) -> np.ndarray:
-        """The preconditioner P per species on a (2, N, N) stack or its ravel."""
-        return self._precondition(v)[0].reshape(v.shape)
 
     def _precondition(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """P v as a (2, N, N) stack, and the spectrum of its charge if P formed it (else None)."""
@@ -531,12 +579,11 @@ def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig
         if iters >= cfg.newton_max_iter:
             raise NoConvergenceError("ion-transport Newton solve exhausted", iters, res)
         rhs = -r.ravel()
-        # right preconditioning: GMRES solves J P y = rhs, the update is z = P y
+        # flexible right preconditioning: GMRES returns the update z = sum_k y_k P v_k
         jp = _Counted(partial(system.preconditioned_action, c))
         z, info = gmres(jp, rhs, rtol=eta, restart=NEWTON_GMRES_RESTART,
                         maxiter=NEWTON_GMRES_MAX_CYCLES)
         products.append(jp.calls)
-        z = system.preconditioner(z)
         # exact mass conservation: the update never moves the (0,0) mode
         dc = np.stack([d - d.mean() for d in z.reshape(c.shape)])
 

@@ -123,9 +123,9 @@ class StepDiagnostics:
 
     krylov_iters_step1 and krylov_iters_step1_max are the sum and the
     largest, over the ion step's Newton iterations, of the Krylov products
-    each GMRES solve applied (Step1Result: one per GMRES iteration, plus one
-    per restart cycle that ends unconverged); krylov_iters_step2 counts the
-    operator applications of the momentum solves.
+    each GMRES solve applied (Step1Result: one per GMRES iteration, restarts
+    included); krylov_iters_step2 counts the operator applications of the
+    momentum solves.
     """
 
     step_index: int
