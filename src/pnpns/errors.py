@@ -17,10 +17,6 @@ class NonZeroMeanError(PnpnsError):
     """A zero-mean right-hand side was required but not supplied."""
 
 
-class NonPositiveMobilityError(PnpnsError):
-    """Mobility coefficient must be strictly positive at every point."""
-
-
 class NonPositiveConcentrationError(PnpnsError):
     """Ion concentration must be strictly positive (logs are taken)."""
 

@@ -46,12 +46,13 @@ class VelocityResult:
     residual: float
 
 
-def ion_forcing(grid: Grid, c: np.ndarray, mu: np.ndarray, kappa: float) -> np.ndarray:
+def ion_forcing(grid: Grid, c: tuple[np.ndarray, np.ndarray] | np.ndarray, mu: np.ndarray,
+                kappa: float) -> np.ndarray:
     """Electric body force -kappa (p grad mu_p + n grad mu_n) on the fluid, as a (2, N, N) stack.
 
-    c is the stacked previous concentrations (p, n) and mu the freshly
-    solved chemical potentials; this pairing is what makes the split
-    scheme's energy budget close.
+    c is the previous concentrations as a pair (p, n) of (N, N) arrays, or
+    a (2, N, N) stack, and mu the freshly solved chemical potentials; this
+    pairing is what makes the split scheme's energy budget close.
     """
     p, n = c
     mx, my = grid.grad(mu[0])

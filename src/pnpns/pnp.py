@@ -74,9 +74,10 @@ predicted Newton reduction (first two-blob step at N = 64: 3 -> 7 GMRES at
 the second Newton iteration, whose eta asked for a residual of 1.7e-10 and
 got 1.1e-7; 14 Krylov products for the step instead of 10).
 
-The underlying minimization problem is strictly convex; its objective is
-evaluated separately (Step1System.objective) as an optimality certificate;
-the line search does not use it.
+The step is the minimizer of a strictly convex functional over the mass
+shell, which is what makes it uniquely solvable. The solver does not
+evaluate that functional: the line search works on the residual norm, and
+the test suite evaluates the functional as an optimality certificate.
 
 The unknown is one C-contiguous (2, N, N) array with the species on axis 0,
 so its ravel is the Krylov vector itself. Reductions and transforms run per
@@ -499,54 +500,6 @@ class Step1System:
     def norm(self, r: np.ndarray) -> float:
         """Discrete L2 norm of a stacked pair, e.g. the residual (r_p, r_n)."""
         return math.sqrt(self.grid.inner(r[0], r[0]) + self.grid.inner(r[1], r[1]))
-
-    # -- convex objective -----------------------------------------------------
-    def objective(self, c: np.ndarray) -> float:
-        """Convex objective whose minimizer over the mass shell is the step solution.
-
-        Quadratic transport-metric terms in the inverse weighted-Laplacian
-        norms, explicit-convection coupling through the same inverse
-        operator, mixing entropies, and the electrostatic H^{-1} energy:
-
-            sum_i (1/(2 D dt)) ||c_i - c_i_old||^2_{M_i,-1}
-          + sum_i (1/D) <L_{M_i}^{-1} div(c_i_old u_old), c_i>
-          + sum_i <c_i (ln c_i - 1), 1>
-          + (1/(2 eps)) <p - n, (-lap)^{-1}(p - n)>
-
-        The 1/D and 1/(2 eps) scalings make the Euler-Lagrange equation of
-        this objective exactly the residual equations without sources (the
-        potential term differentiates to psi). Candidates must be strictly
-        positive and carry the same masses as the previous state.
-        """
-        grid = self.grid
-        d = self.params.diffusion
-        _require_positive(c)
-        mass_scale = abs(grid.integral(self.c_prev[0])) + abs(grid.integral(self.c_prev[1]))
-        for cand, ref, name in zip(c, self.c_prev, SPECIES):
-            drift = abs(grid.integral(cand) - grid.integral(ref))
-            if drift > 1e-9 * max(mass_scale, 1.0):
-                raise MassMismatchError(f"candidate {name} mass differs by {drift:.3e}")
-
-        total = 0.0
-        for cand, ref, m in zip(c, self.c_prev, self.m):
-            diff = cand - ref
-            diff = diff - diff.mean()  # strip quadrature-level roundoff
-            if grid.norm(diff) > 0.0:
-                inv_diff = grid.solve_weighted_laplacian(m, diff)
-                total += grid.inner(diff, inv_diff) / (2.0 * d * self.dt)
-        for cand, conv, m in zip(c, self.conv, self.m):
-            if grid.norm(conv) > 0.0:
-                inv_conv = grid.solve_weighted_laplacian(m, conv)
-                total += grid.inner(inv_conv, cand) / d
-        for cand in c:
-            total += grid.integral(cand * (np.log(cand) - 1.0))
-
-        charge = c[0] - c[1]
-        charge = charge - charge.mean()
-        if grid.norm(charge) > 0.0:
-            inv_charge = grid.inv_laplacian_zero_mean(charge)
-            total += grid.inner(charge, inv_charge) / (2.0 * self.params.epsilon)
-        return float(total)
 
 
 def solve_step1(prev: SimState, params: PhysParams, dt: float, cfg: SchemeConfig,

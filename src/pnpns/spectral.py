@@ -23,20 +23,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
-from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import (
-    GridMismatchError,
-    NoConvergenceError,
-    NonPositiveMobilityError,
-    NonZeroMeanError,
-)
+from .errors import GridMismatchError, NonZeroMeanError
 
 TWO_PI = 2.0 * np.pi
-
-#: default relative tolerance / iteration budget for the weighted Poisson solve
-CG_DEFAULT_TOL = 1e-12
-CG_MAX_ITER_PER_MODE = 50
 
 
 class Grid:
@@ -137,9 +127,6 @@ class Grid:
     def div(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         return self.irfft(self._ikx * self.rfft(vx) + self._iky * self.rfft(vy))
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.irfft(-self._k2 * self.rfft(values))
-
     # -- quadrature ------------------------------------------------------------
     def integral(self, values: np.ndarray) -> float:
         return float(values.sum() * self.weight)
@@ -168,84 +155,6 @@ class Grid:
         spec = self.rfft(values)
         spec = spec * self._inv_k2  # (0,0) entry of inv_k2 is 0: mean pinned
         return self.irfft(spec)
-
-    def project_div_free(self, vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Remove the gradient part: v - grad(inv_lap(div v)) (spectral Leray)."""
-        sx = self.rfft(vx)
-        sy = self.rfft(vy)
-        d = self._ikx * sx + self._iky * sy
-        # lap(chi) = div v, gradient-consistent inverse, zero mean
-        chi = -d * self._inv_k2_grad
-        return self.irfft(sx - self._ikx * chi), self.irfft(sy - self._iky * chi)
-
-    def apply_weighted_laplacian(self, m_values: np.ndarray,
-                                 f_values: np.ndarray) -> np.ndarray:
-        """-div(M grad f) with the product formed in physical space.
-
-        This is the collocation realization of the weak operator
-        <out, v> = <M grad f, grad v> for every test field v; for the uniform
-        grid the two coincide because the differentiation matrix is
-        antisymmetric.
-        """
-        _check_mobility(m_values)
-        gx, gy = self.grad(f_values)
-        return -self.div(m_values * gx, m_values * gy)
-
-    def solve_weighted_laplacian(self, m_values: np.ndarray, f_values: np.ndarray,
-                                 tol: float = CG_DEFAULT_TOL,
-                                 max_iter: int | None = None) -> np.ndarray:
-        """Solve -div(M grad g) = f for the zero-mean g.
-
-        Conjugate gradients preconditioned with the constant-coefficient
-        inverse Laplacian (diagonal in Fourier space). The right-hand side
-        must have zero mean; the solution mean is pinned to zero.
-        """
-        _check_mobility(m_values)
-        n = self.n_modes
-        rhs_norm = self.norm(f_values)
-        if abs(self.integral(f_values)) > 1e-10 * max(rhs_norm, 1e-300):
-            raise NonZeroMeanError(
-                f"solve requires a zero-mean rhs; <f,1>={self.integral(f_values):.3e}"
-            )
-        if rhs_norm == 0.0:
-            return np.zeros_like(f_values)
-        if max_iter is None:
-            max_iter = CG_MAX_ITER_PER_MODE * n
-
-        shape = (n, n)
-
-        def matvec(vec: np.ndarray) -> np.ndarray:
-            return self.apply_weighted_laplacian(m_values, vec.reshape(shape)).ravel()
-
-        def precond(vec: np.ndarray) -> np.ndarray:
-            spec = self.rfft(vec.reshape(shape))
-            # zero-mean component through (-lap)^{-1}; the (0,0) mode passes
-            # through unchanged so the operator stays SPD on all of R^{N^2}
-            dc = spec[0, 0]
-            spec = spec * self._inv_k2
-            spec[0, 0] = dc
-            return self.irfft(spec).ravel()
-
-        op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-        pre = LinearOperator((n * n, n * n), matvec=precond, dtype=float)
-        iters = 0
-
-        def count(_xk):
-            nonlocal iters
-            iters += 1
-
-        sol, info = cg(op, f_values.ravel(), rtol=tol, atol=0.0,
-                       maxiter=max_iter, M=pre, callback=count)
-        g = sol.reshape(shape)
-        if info > 0:
-            res = self.norm(matvec(sol).reshape(shape) - f_values) / rhs_norm
-            raise NoConvergenceError("weighted Poisson solve stalled", iters, res)
-        return g - g.mean()
-
-    # -- sampling helper ---------------------------------------------------------------
-    def sample(self, fn) -> np.ndarray:
-        """Evaluate a callable f(x, y) on the collocation points."""
-        return np.asarray(fn(self.xx, self.yy), dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -279,9 +188,3 @@ class Field:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("field contains non-finite values")
-
-
-def _check_mobility(m_values: np.ndarray) -> None:
-    m_min = m_values.min()
-    if m_min <= 0.0:
-        raise NonPositiveMobilityError(f"mobility must be positive, min={m_min:.3e}")

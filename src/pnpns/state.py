@@ -143,7 +143,6 @@ class StepDiagnostics:
     krylov_iters_step2: int
     residual_step1: float
     residual_step2: float
-    wall_time_s: float = 0.0
 
 
 def mass(f: Field) -> float:

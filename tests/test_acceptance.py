@@ -22,9 +22,12 @@ from pnpns.state import PhysParams, SchemeConfig, mass, total_energy
 
 from conftest import admissible_state, band_limited, contrast_state, positive_field
 from oracles import (
+    apply_weighted_laplacian,
     dense_solve_zero_mean,
     dense_weighted_laplacian,
     direct_dft2,
+    solve_weighted_laplacian,
+    step1_objective,
 )
 
 TABLE1_DT = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 3.125e-4)
@@ -163,13 +166,13 @@ def test_criterion_3_functional_convexity_and_certificate():
     for trial in range(100):
         rng = np.random.default_rng(70_000 + trial)
         state = admissible_state(grid, rng)
-        objective = Step1System(state, params, dt).objective
+        system = Step1System(state, params, dt)
         c = np.stack((state.p.values, state.n.values))
         a = perturb(c, rng, 0.25)
         b = perturb(c, rng, 0.25)
-        j_a = objective(a)
-        j_b = objective(b)
-        j_mid = objective(0.5 * (a + b))
+        j_a = step1_objective(system, a)
+        j_b = step1_objective(system, b)
+        j_mid = step1_objective(system, 0.5 * (a + b))
         assert j_mid <= 0.5 * (j_a + j_b) + 1e-10
 
     cfg = SchemeConfig(n_modes=8, dt=dt, t_final=dt)
@@ -178,12 +181,12 @@ def test_criterion_3_functional_convexity_and_certificate():
         state = admissible_state(grid, rng)
         result = solve_step1(state, params, cfg.dt, cfg)
         system = Step1System(state, params, dt)
-        j_initial = system.objective(system.c_prev)
-        j_final = system.objective(result.c)
+        j_initial = step1_objective(system, system.c_prev)
+        j_final = step1_objective(system, result.c)
         assert j_final <= j_initial + 1e-12 * abs(j_initial)
         for k in range(3):
             prng = np.random.default_rng(90_000 + 100 * trial + k)
-            j_trial = system.objective(perturb(result.c, prng, 0.02))
+            j_trial = step1_objective(system, perturb(result.c, prng, 0.02))
             assert j_final <= j_trial + 1e-10 * abs(j_trial)
     _report("3 functional convexity + minimizer certificate (100+100 trials)")
 
@@ -268,14 +271,14 @@ def test_criterion_4_weighted_laplacian_vs_dense_assembly():
         f_vals = band_limited(grid, rng, kmax=3)
         dense_mat = dense_weighted_laplacian(m_vals)
 
-        ours = grid.apply_weighted_laplacian(m_vals, f_vals)
+        ours = apply_weighted_laplacian(grid, m_vals, f_vals)
         dense = (dense_mat @ f_vals.ravel()).reshape(8, 8)
         scale = max(np.abs(dense).max(), 1.0)
         worst_apply = max(worst_apply, np.abs(ours - dense).max() / scale)
         assert np.abs(ours - dense).max() <= 1e-9 * scale
 
         rhs = f_vals - f_vals.mean()
-        solved = grid.solve_weighted_laplacian(m_vals, rhs, tol=1e-14)
+        solved = solve_weighted_laplacian(grid, m_vals, rhs, tol=1e-14)
         dense_sol = dense_solve_zero_mean(dense_mat, rhs)
         scale = max(np.abs(dense_sol).max(), 1e-6)
         worst_solve = max(worst_solve, np.abs(solved - dense_sol).max() / scale)

@@ -1,6 +1,7 @@
 """Typed solver errors."""
 
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +25,17 @@ def test_pickle_round_trip(error_type):
     assert str(back) == str(exc)
     assert back.args == exc.args
     assert vars(back) == vars(exc)
+
+
+def package_source_without_errors_module() -> str:
+    package = Path(errors.__file__).parent
+    return "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                     if path.name != "errors.py")
+
+
+@pytest.mark.parametrize("error_type", all_error_types(), ids=lambda t: t.__name__)
+def test_every_error_type_is_constructed_by_the_package(error_type):
+    # a type whose last raiser left the package would outlive it
+    name = error_type.__name__
+    assert f"{name}(" in package_source_without_errors_module(), (
+        f"no module of the package outside errors.py constructs {name}")

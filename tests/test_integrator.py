@@ -460,5 +460,4 @@ class TestLayerBoundaries:
         assert set(calls) == expected
         assert (wrapped.line_ref is not None) == (path == "line")
         assert_same_state(wrapped, plain)
-        assert (dataclasses.replace(wrapped_diag, wall_time_s=0.0)
-                == dataclasses.replace(plain_diag, wall_time_s=0.0))
+        assert wrapped_diag == plain_diag

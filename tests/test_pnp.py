@@ -30,7 +30,13 @@ from conftest import (
     div_free_velocity,
     rest_state,
 )
-from oracles import dense_solve_zero_mean, dense_weighted_laplacian
+from oracles import (
+    dense_weighted_laplacian,
+    dft_inv_laplacian,
+    diff_matrices_2d,
+    laplacian,
+    step1_objective,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -109,7 +115,7 @@ class TestComputePsi:
         psi = compute_psi(grid16, p, n, epsilon=eps)
         assert np.abs(psi - harmonic * factor / (2 * eps)).max() <= 1e-13
         # and -eps lap psi reproduces the charge density
-        assert np.abs(-eps * grid16.laplacian(psi) - (p - n)).max() <= 1e-12
+        assert np.abs(-eps * laplacian(grid16, psi) - (p - n)).max() <= 1e-12
 
 
 class TestChemicalPotentials:
@@ -161,38 +167,47 @@ class TestResidual:
         assert np.abs(r_n).max() <= 1e-12
 
     def test_matches_dense_assembly(self, grid8, rng):
-        """Collocation residual vs dense weak-form assembly on N=8."""
+        """Collocation residual vs dense weak-form assembly on N=8, on both paths."""
         params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.7)
         dt = 0.05
-        state = admissible_state(grid8, rng)
-        cand_p, cand_n = perturbed(state, grid8, rng, amplitude=0.05, kmax=2)
-        ours_p, ours_n = Step1System(state, params, dt).residual(
-            np.stack((cand_p, cand_n)))
-
-        # dense route: differentiation matrices + lstsq Poisson solve
-        from oracles import diff_matrices_2d
+        calm = admissible_state(grid8, rng)
+        smooth = np.stack(perturbed(calm, grid8, rng, amplitude=0.05, kmax=2))
+        # a near-vacuum state, whose kernel runs on the differentiation matrix
+        vacuum = contrast_state(grid8, rng)
+        c_vac = np.stack((vacuum.p.values, vacuum.n.values))
+        near_vacuum = c_vac * np.exp(0.1 * np.stack([band_limited(grid8, rng)
+                                                      for _ in range(2)]))
         dx, dy = diff_matrices_2d(8)
-        pm, nm = state.p.values.ravel(), state.n.values.ravel()
-        ux, uy = (comp.ravel() for comp in state.u.values)
-        lap1 = dense_weighted_laplacian(np.ones((8, 8)))
-        charge = (cand_p - cand_n) / params.epsilon
-        psi = dense_solve_zero_mean(lap1, charge).ravel()
         ratio = params.kappa / params.diffusion
-        m_p = pm * (1.0 + 2.0 * ratio * dt * pm)
-        m_n = nm * (1.0 + 2.0 * ratio * dt * nm)
-        mu = np.log(cand_p.ravel()) + psi
-        nu = np.log(cand_n.ravel()) - psi
-        dens_p = ((cand_p.ravel() - pm) / dt
-                  + dx @ (pm * ux) + dy @ (pm * uy)
-                  + params.diffusion * (dense_weighted_laplacian(
-                      m_p.reshape(8, 8)) @ mu))
-        dens_n = ((cand_n.ravel() - nm) / dt
-                  + dx @ (nm * ux) + dy @ (nm * uy)
-                  + params.diffusion * (dense_weighted_laplacian(
-                      m_n.reshape(8, 8)) @ nu))
-        scale = max(np.abs(dens_p).max(), np.abs(dens_n).max(), 1.0)
-        assert np.abs(ours_p.ravel() - dens_p).max() <= 1e-9 * scale
-        assert np.abs(ours_n.ravel() - dens_n).max() <= 1e-9 * scale
+        paths = []
+        for state, cand in ((calm, smooth), (vacuum, near_vacuum)):
+            system = Step1System(state, params, dt)
+            paths.append(system.line_path)
+            ours_p, ours_n = system.residual(cand)
+
+            # dense route: differentiation matrices, and psi by explicit DFT
+            # sums on the full |k|^2 symbol, whose Nyquist modes the charge of
+            # a contrast state carries
+            cand_p, cand_n = (ci.ravel() for ci in cand)
+            pm, nm = state.p.values.ravel(), state.n.values.ravel()
+            ux, uy = (comp.ravel() for comp in state.u.values)
+            psi = dft_inv_laplacian((cand[0] - cand[1]) / params.epsilon).ravel()
+            m_p = pm * (1.0 + 2.0 * ratio * dt * pm)
+            m_n = nm * (1.0 + 2.0 * ratio * dt * nm)
+            mu = np.log(cand_p) + psi
+            nu = np.log(cand_n) - psi
+            dens_p = ((cand_p - pm) / dt
+                      + dx @ (pm * ux) + dy @ (pm * uy)
+                      + params.diffusion * (dense_weighted_laplacian(
+                          m_p.reshape(8, 8)) @ mu))
+            dens_n = ((cand_n - nm) / dt
+                      + dx @ (nm * ux) + dy @ (nm * uy)
+                      + params.diffusion * (dense_weighted_laplacian(
+                          m_n.reshape(8, 8)) @ nu))
+            scale = max(np.abs(dens_p).max(), np.abs(dens_n).max(), 1.0)
+            assert np.abs(ours_p.ravel() - dens_p).max() <= 1e-9 * scale
+            assert np.abs(ours_n.ravel() - dens_n).max() <= 1e-9 * scale
+        assert paths == [False, True]
 
     def test_rejects_nonpositive_candidate(self, grid16, rng):
         state = admissible_state(grid16, rng)
@@ -561,26 +576,26 @@ class TestLinePreconditioner:
 class TestFunctional:
     def test_uniform_rest_value(self, grid16):
         prev = rest_state(grid16)
-        value = Step1System(prev, PhysParams(), dt=0.1).objective(np.ones((2, 16, 16)))
+        value = step1_objective(Step1System(prev, PhysParams(), dt=0.1), np.ones((2, 16, 16)))
         assert value == pytest.approx(-2.0 * TWO_PI**2, rel=1e-12)
 
     def test_rejects_mass_mismatch(self, grid8, rng):
         state = admissible_state(grid8, rng)
         shifted = np.stack((state.p.values + 0.1, state.n.values))
         with pytest.raises(MassMismatchError):
-            Step1System(state, PhysParams(), dt=0.1).objective(shifted)
+            step1_objective(Step1System(state, PhysParams(), dt=0.1), shifted)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_midpoint_convexity(self, grid8, seed):
         rng = np.random.default_rng(2000 + seed)
         state = admissible_state(grid8, rng)
-        objective = Step1System(state, PhysParams(), dt=0.05).objective
+        system = Step1System(state, PhysParams(), dt=0.05)
         for _ in range(5):
             a = np.stack(perturbed(state, grid8, rng, amplitude=0.25))
             b = np.stack(perturbed(state, grid8, rng, amplitude=0.25))
-            j_a = objective(a)
-            j_b = objective(b)
-            j_mid = objective(0.5 * (a + b))
+            j_a = step1_objective(system, a)
+            j_b = step1_objective(system, b)
+            j_mid = step1_objective(system, 0.5 * (a + b))
             assert j_mid <= 0.5 * (j_a + j_b) + 1e-10
 
     def test_solution_certifies_minimum(self, grid8, rng):
@@ -589,8 +604,8 @@ class TestFunctional:
         cfg = SchemeConfig(n_modes=8, dt=0.05, t_final=0.05)
         result = solve_step1(state, params, cfg.dt, cfg)
         system = Step1System(state, params, cfg.dt)
-        j_initial = system.objective(system.c_prev)
-        j_final = system.objective(result.c)
+        j_initial = step1_objective(system, system.c_prev)
+        j_final = step1_objective(system, result.c)
         assert j_final <= j_initial + 1e-12 * abs(j_initial)
         # local-minimum certificate against admissible perturbations
         for k in range(20):
@@ -598,7 +613,7 @@ class TestFunctional:
             dp = band_limited(grid8, prng, kmax=3, amplitude=0.02)
             dn = band_limited(grid8, prng, kmax=3, amplitude=0.02)
             trial = result.c + np.stack((dp - dp.mean(), dn - dn.mean()))
-            j_trial = system.objective(trial)
+            j_trial = step1_objective(system, trial)
             assert j_final <= j_trial + 1e-10 * abs(j_trial)
 
 
