@@ -2,7 +2,7 @@
 
     python scripts/output_digests.py OUTDIR [--src SRC] [--compare OTHER_DIR]
 
-Four CLI runs go into subdirectories of OUTDIR, each in a fresh process:
+Five CLI runs go into subdirectories of OUTDIR, each in a fresh process:
 
   blobs        `pnpns run` on blobs_5_2: N = 32, dt = 1e-4, t_final = 8e-4,
                snapshots at 4e-4 and 8e-4 (the line path);
@@ -11,7 +11,10 @@ Four CLI runs go into subdirectories of OUTDIR, each in a fresh process:
   mms          `pnpns run` on mms: N = 16, dt = 1e-2, t_final = 5e-2, a
                snapshot at 5e-2 (the spectral path, with sources);
   convergence  `pnpns convergence` on mms: N = 16, dt_list [2e-2, 1e-2],
-               t_final = 0.04.
+               t_final = 0.04;
+  mms128       `pnpns run` on mms: N = 128, dt = 1e-2, t_final = 3e-2 (the
+               spectral path at a benchmark size; the runs above stop at
+               N = 32).
 
 Each run's directory holds its config.json, the files the CLI wrote and its
 stdout.txt; every path the CLI sees is relative, so a directory's contents do
@@ -71,6 +74,11 @@ RUNS = (
     ("convergence", "convergence", {
         "grid": {"n_modes": 16},
         "time": {"dt_list": [2e-2, 1e-2], "t_final": 0.04},
+        "initial": {"preset": "mms"},
+    }),
+    ("mms128", "run", {
+        "grid": {"n_modes": 128},
+        "time": {"dt": 1e-2, "t_final": 3e-2},
         "initial": {"preset": "mms"},
     }),
 )

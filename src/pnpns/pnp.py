@@ -15,13 +15,18 @@ fraction-to-boundary rule that keeps every iterate strictly positive. The
 residual and the Jacobian share one flux kernel, D div(M_i grad(f_i + z_i psi))
 (f = ln c, and f = dc/c for the Jacobian), psi from the spectrum of the
 charge. On the spectral path psi stays spectral and the derivatives are
-transforms: 13 per residual. On the line path the derivatives are products
-with the dense 1-D differentiation matrix (Grid.diff_matrix), which the line
-solves hold anyway, so a residual or a Krylov product takes 2 transforms,
-the charge's and psi's; at N <= 128 the matrix products cost less than the
-transforms they replace (Trefethen, Spectral Methods in MATLAB, 2000,
-ch. 3). psi and mu are formed in physical space once per step, at the
-solution. GMRES works on the Jacobian right-preconditioned by a per-species
+transforms: 13 per residual. There the residual, the Jacobian and P write
+every intermediate into work arrays the Step1System holds, through ufunc
+out= and the transforms' out= and scratch=, with the operations and their
+order unchanged, so a Krylov product allocates only the two stacks it
+returns and a residual the one (spectral.py says why). On the line path the
+derivatives are products with the dense 1-D differentiation matrix
+(Grid.diff_matrix), which the line solves hold anyway, so a residual or a
+Krylov product takes 2 transforms, the charge's and psi's; at N <= 128 the
+matrix products cost less than the transforms they replace (Trefethen,
+Spectral Methods in MATLAB, 2000, ch. 3). psi and mu are formed in physical
+space once per step, at the solution. GMRES works on the Jacobian
+right-preconditioned by a per-species
 operator P: each Krylov product returns the pair (J P v, P v)
 (Step1System.preconditioned_action), and flexible GMRES (krylov.gmres)
 returns the Newton update itself, sum_k y_k P v_k, so P is applied once per
@@ -375,6 +380,9 @@ class Step1System:
     first Krylov product). On the line path line_ref is the previous state's
     reference while its age is below LINE_REBUILD_PERIOD, and c_old
     otherwise; line_age counts this step.
+
+    The kernels write their intermediates into the system's work arrays, so
+    one system serves one thread at a time; every array they return is new.
     """
 
     def __init__(self, prev: SimState, params: PhysParams, dt: float,
@@ -392,8 +400,18 @@ class Step1System:
         ux, uy = prev.u.values
         self.conv = np.stack([grid.div(c * ux, c * uy) for c in self.c_prev])
         self.m = mobility(self.c_prev, dt, params.kappa, params.diffusion)
-        self._inv_eps_k2 = grid._inv_k2 / params.epsilon
         self.source = sources
+        # work arrays of the kernels below, overwritten by every residual and
+        # Krylov product: f (ln c or dc/c, then the flux), two real fields and
+        # three half spectra (the charge and two more)
+        self._f, self._real = np.empty_like(self.c_prev), np.empty_like(self.c_prev)
+        self._spec = np.empty((3, *grid._k2.shape), dtype=complex)
+        # the symbols that multiply those spectra, complex and of the spectra's
+        # shape: a real or broadcast operand would make numpy cast or copy it
+        # into a buffer of its own on every product, at twice the time
+        self._inv_eps_k2 = (grid._inv_k2 / params.epsilon).astype(complex)
+        self._ikx, self._iky = (np.broadcast_to(k, grid._k2.shape).copy()
+                                for k in (grid._ikx, grid._iky))
 
         self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
         self.line_ref, self.line_age = None, 0
@@ -407,7 +425,7 @@ class Step1System:
             # cbar the mean diffusion coefficient of the linearized operator
             # (M/c, not M itself: the Jacobian differentiates through ln c)
             d = params.diffusion
-            self._pre = [1.0 / (1.0 / dt + d * float(ratio.mean()) * grid._k2)
+            self._pre = [(1.0 / (1.0 / dt + d * float(ratio.mean()) * grid._k2)).astype(complex)
                          for ratio in self.m / self.c_prev]
 
     @cached_property
@@ -425,36 +443,53 @@ class Step1System:
         return psi, np.log(c) + VALENCE * psi
 
     def _flux_div(self, f: np.ndarray, charge: np.ndarray) -> np.ndarray:
-        """D div(M_i grad(f_i + z_i psi)) per species, psi from the charge spectrum (overwritten).
+        """D div(M_i grad(f_i + z_i psi)) per species, written over f; psi from the charge spectrum.
 
         The one kernel of the residual (f = ln c) and the Jacobian (f = dc/c);
-        psi drops its mean, so a net charge is not seen here. On the line
-        path the derivatives are products with the differentiation matrix d
-        on the whole stack, the same collocation derivatives as the
-        transforms and cheaper at the sizes that path runs at: psi is
-        transformed back once, 1 transform in all. On the spectral path psi
-        stays spectral and each species takes 6 transforms, 12 in all.
+        both arguments are overwritten and f is returned. psi drops its mean,
+        so a net charge is not seen here. On the line path the derivatives
+        are products with the differentiation matrix d on the whole stack,
+        the same collocation derivatives as the transforms and cheaper at the
+        sizes that path runs at: psi is transformed back once, 1 transform in
+        all. On the spectral path psi stays spectral and each species takes 6
+        transforms, 12 in all, every intermediate in the work arrays: once
+        f_i is transformed, its slot takes the species' flux.
         """
         grid = self.grid
         psi = charge
         psi *= self._inv_eps_k2
+        diffusion = self.params.diffusion
         if self.line_path:
             d = grid.diff_matrix
-            h = f + VALENCE * grid.irfft(psi)
-            return self.params.diffusion * (d @ (self.m * (d @ h))
-                                            + (self.m * (h @ d.T)) @ d.T)
-        out = np.empty_like(f)
-        for i, (fi, m, z) in enumerate(zip(f, self.m, VALENCE.flat)):
-            gx, gy = grid.grad_spectrum(grid.rfft(fi) + z * psi)
-            out[i] = grid.div(m * gx, m * gy)
-        return self.params.diffusion * out
+            h = f + VALENCE * grid.irfft(psi, scratch=psi)
+            return np.multiply(diffusion, d @ (self.m * (d @ h)) + (self.m * (h @ d.T)) @ d.T,
+                               out=f)
+        gx, gy = self._real
+        spec, tmp = self._spec[1:]
+        for fi, m, z in zip(f, self.m, VALENCE.flat):
+            grid.rfft(fi, out=spec)
+            spec += np.multiply(z, psi, out=tmp)
+            # grad: the two derivative spectra of rfft(f_i) + z_i psi, transformed back
+            grid.irfft(np.multiply(self._ikx, spec, out=tmp), out=gx, scratch=tmp)
+            grid.irfft(np.multiply(self._iky, spec, out=tmp), out=gy, scratch=tmp)
+            # div(m grad): ikx rfft(m gx) + iky rfft(m gy), transformed back into f_i's slot
+            grid.rfft(np.multiply(m, gx, out=gx), out=spec)
+            grid.rfft(np.multiply(m, gy, out=gy), out=tmp)
+            np.multiply(self._ikx, spec, out=spec)
+            spec += np.multiply(self._iky, tmp, out=tmp)
+            grid.irfft(spec, out=fi, scratch=spec)
+        return np.multiply(diffusion, f, out=f)
 
     def residual(self, c: np.ndarray) -> np.ndarray:
         """The stacked residual at c (13 transforms on the spectral path, 2 on the line path)."""
         _require_positive(c)
-        r = ((c - self.c_prev) / self.dt + self.conv
-             - self._flux_div(np.log(c), self.grid.rfft(c[0] - c[1])))
-        return r if self.source is None else r - self.source
+        r = np.subtract(c, self.c_prev)
+        r /= self.dt
+        r += self.conv
+        r -= self._flux_div(np.log(c, out=self._f), self._charge(c))
+        if self.source is not None:
+            r -= self.source
+        return r
 
     def jacobian_action(self, c: np.ndarray, dc: np.ndarray) -> np.ndarray:
         """J(c) dc for a direction given as a (2, N, N) stack or its ravel; same shape back."""
@@ -478,8 +513,14 @@ class Step1System:
                   charge: np.ndarray | None = None) -> np.ndarray:
         """J(c) direction, given the spectrum of the direction's charge (overwritten) if known."""
         if charge is None:
-            charge = self.grid.rfft(direction[0] - direction[1])
-        return direction / self.dt - self._flux_div(direction / c, charge)
+            charge = self._charge(direction)
+        j = direction / self.dt
+        j -= self._flux_div(np.divide(direction, c, out=self._f), charge)
+        return j
+
+    def _charge(self, c: np.ndarray) -> np.ndarray:
+        """The spectrum of c_p - c_n, in a work array."""
+        return self.grid.rfft(np.subtract(c[0], c[1], out=self._real[0]), out=self._spec[0])
 
     def _precondition(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """P v as a (2, N, N) stack, and the spectrum of its charge if P formed it (else None)."""
@@ -490,11 +531,12 @@ class Step1System:
                 out[i] = ci * line.solve(r)  # dc = c_old w
             return out, None
         grid = self.grid
-        charge = 0.0
-        for i, (pre, z, r) in enumerate(zip(self._pre, VALENCE.flat, v)):
-            spec = pre * grid.rfft(r)
-            out[i] = grid.irfft(spec)
-            charge = charge + z * spec  # spectrum of sum_i z_i (P v)_i
+        charge, spec, tmp = self._spec
+        charge[...] = 0.0
+        for pre, z, r, out_i in zip(self._pre, VALENCE.flat, v, out):
+            np.multiply(pre, grid.rfft(r, out=spec), out=spec)
+            grid.irfft(spec, out=out_i, scratch=tmp)
+            charge += np.multiply(z, spec, out=tmp)  # spectrum of sum_i z_i (P v)_i
         return out, charge
 
     def norm(self, r: np.ndarray) -> float:

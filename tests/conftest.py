@@ -39,9 +39,9 @@ def transforms(monkeypatch) -> dict:
     """Counts Grid.rfft and Grid.irfft calls in transforms["calls"]."""
     counter = {"calls": 0}
     for name in ("rfft", "irfft"):
-        def counted(self, values, _original=getattr(Grid, name)):
+        def counted(self, *args, _original=getattr(Grid, name), **kwargs):
             counter["calls"] += 1
-            return _original(self, values)
+            return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(Grid, name, counted)
     return counter

@@ -1,6 +1,7 @@
 """Ion-transport step: potentials, mobility, residual, functional, Newton solve."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from pnpns.errors import (
     NoConvergenceError,
     NonPositiveConcentrationError,
 )
+from pnpns.mms import make_case
 from pnpns.pnp import (
     Step1System,
     compute_psi,
@@ -301,6 +303,52 @@ class TestPreconditionedAction:
             transforms["calls"] = 0
             product()
             assert transforms["calls"] == 2  # the charge forward, psi back
+
+
+class TestWorkArrays:
+    """The spectral path's kernels write their intermediates into the system's work arrays."""
+
+    @pytest.fixture(scope="class")
+    def mms128(self):
+        """Step1System of the first step from the mms128 benchmark state (N = 128, spectral path)."""
+        params = PhysParams()
+        cfg = SchemeConfig(n_modes=128, dt=1e-2, t_final=0.1)
+        case = make_case(params)
+        state = case.initial_state(cfg)
+        system = Step1System(state, params, cfg.dt, case.ion_sources(cfg.dt, state.grid))
+        assert not system.line_path
+        return system
+
+    def test_allocation_budget(self, mms128, rng):
+        """Peak traced memory of a call, in (N, N) float64 arrays: its outputs alone.
+
+        preconditioned_action returns 4 arrays and residual 2; the transforms
+        take a few hundredths more. A temporary spectrum or field would add
+        1: forming the intermediates as temporaries took 17.1 and 15.1.
+        """
+        c = mms128.c_prev.copy()
+        v = rng.standard_normal(c.size)
+        for call, outputs in ((partial(mms128.preconditioned_action, c, v), 4),
+                              (partial(mms128.residual, c), 2)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1] / c[0].nbytes
+            finally:
+                tracemalloc.stop()
+            assert peak < outputs + 0.5
+
+    def test_results_outlive_the_next_call(self, mms128, rng):
+        """GMRES keeps every P v_k, and Newton the residual, while the kernels run again."""
+        c = mms128.c_prev.copy()
+        first = (*mms128.preconditioned_action(c, rng.standard_normal(c.size)), mms128.residual(c))
+        kept = [a.copy() for a in first]
+        mms128.preconditioned_action(c, rng.standard_normal(c.size))
+        mms128.residual(1.01 * c)
+        mms128.jacobian_action(c, rng.standard_normal(c.size))
+        for result, copy in zip(first, kept):
+            assert np.array_equal(result, copy)
 
 
 def transform_flux_div(grid, params, m, f, charge):

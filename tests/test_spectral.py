@@ -1,8 +1,15 @@
 """Spectral infrastructure: transforms, derivatives, quadrature, elliptic solves."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft
 
+import pnpns
 from pnpns.errors import GridMismatchError, NoConvergenceError, NonZeroMeanError
 from pnpns.ns import project_velocity
 from pnpns.spectral import Field, Grid, make_grid
@@ -93,6 +100,43 @@ class TestTransforms:
         ours = amplitudes(grid8, values)
         direct = direct_dft2(values)[:, :8 // 2 + 1]
         assert np.abs(ours - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+class TestTransformsMatchScipy:
+    """Grid.rfft / Grid.irfft against scipy.fft.rfft2 / irfft2, the oracle: bitwise at N = 2^k."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
+    @pytest.mark.parametrize("shape", ["field", "stack"])
+    def test_bitwise_equal(self, n, shape, rng):
+        g = make_grid(n)
+        values = rng.standard_normal((n, n) if shape == "field" else (2, n, n))
+        kept = values.copy()
+        spec = g.rfft(values)
+        assert np.array_equal(spec, scipy.fft.rfft2(values))
+        assert np.array_equal(values, kept)  # a default call leaves its input unchanged
+        coeffs = spec.copy()
+        back = g.irfft(spec)
+        assert np.array_equal(back, scipy.fft.irfft2(coeffs, s=(n, n)))
+        assert np.array_equal(spec, coeffs)
+
+        out = np.empty_like(spec)
+        assert g.rfft(values, out=out) is out
+        assert np.array_equal(out, spec) and np.array_equal(values, kept)
+        real = np.empty_like(values)
+        assert g.irfft(spec, out=real, scratch=np.empty_like(spec)) is real
+        assert np.array_equal(real, back) and np.array_equal(spec, coeffs)
+        real[...] = 0.0
+        assert g.irfft(spec, out=real, scratch=spec) is real  # spec is the scratch
+        assert np.array_equal(real, back)
+
+    def test_import_leaves_scipy_fft_unloaded(self):
+        """The transforms are numpy's: importing pnpns does not load scipy.fft."""
+        src = Path(pnpns.__file__).resolve().parents[1]
+        code = "import sys, pnpns; print('scipy.fft' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              timeout=120, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestDerivatives:
