@@ -2,7 +2,7 @@
 
     python scripts/output_digests.py OUTDIR [--src SRC] [--compare OTHER_DIR]
 
-Five CLI runs go into subdirectories of OUTDIR, each in a fresh process:
+Six CLI runs go into subdirectories of OUTDIR, each in a fresh process:
 
   blobs        `pnpns run` on blobs_5_2: N = 32, dt = 1e-4, t_final = 8e-4,
                snapshots at 4e-4 and 8e-4 (the line path);
@@ -14,7 +14,13 @@ Five CLI runs go into subdirectories of OUTDIR, each in a fresh process:
                t_final = 0.04;
   mms128       `pnpns run` on mms: N = 128, dt = 1e-2, t_final = 3e-2 (the
                spectral path at a benchmark size; the runs above stop at
-               N = 32).
+               N = 32);
+  mms_coeffs   `pnpns run` on mms: N = 32, eps = 0.1, nu = 0.1, dt = 1e-2,
+               t_final = 3e-2, a snapshot at 3e-2 (the only run with
+               non-unit coefficients: a symbol scaled by eps that rounds
+               differently, such as psi's formed as a complex inv_k2 / eps,
+               changes its snapshot and no other file; at eps = 0.5, a power
+               of two, or in the diagnostics alone it would not show).
 
 Each run's directory holds its config.json, the files the CLI wrote and its
 stdout.txt; every path the CLI sees is relative, so a directory's contents do
@@ -79,6 +85,12 @@ RUNS = (
     ("mms128", "run", {
         "grid": {"n_modes": 128},
         "time": {"dt": 1e-2, "t_final": 3e-2},
+        "initial": {"preset": "mms"},
+    }),
+    ("mms_coeffs", "run", {
+        "physics": {"epsilon": 0.1, "kappa": 1.0, "diffusion": 1.0, "viscosity": 0.1},
+        "grid": {"n_modes": 32},
+        "time": {"dt": 1e-2, "t_final": 3e-2, "snapshot_times": [3e-2]},
         "initial": {"preset": "mms"},
     }),
 )

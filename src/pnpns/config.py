@@ -138,11 +138,11 @@ def load_config(path, *, need_dt_list: bool = False) -> RunConfig:
         dt = float(time_sec["dt"])
         dt_list = ()
 
-    params = PhysParams(**raw.get("physics", {}))
     solver = raw.get("solver", {})
     output = raw.get("output", {})
     out_dir = Path(output.get("dir", "."))
     try:
+        params = PhysParams(**raw.get("physics", {}))
         scheme = SchemeConfig(
             n_modes=raw["grid"]["n_modes"],
             dt=dt,

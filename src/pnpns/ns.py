@@ -77,16 +77,16 @@ def _convection(grid: Grid, u: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return u[0] * gx + u[1] * gy
 
 
-def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, viscosity: float,
-                          dt: float, tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
+def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, symbol: np.ndarray,
+                          tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
     """Solve (1/dt + u.grad - nu lap) w = rhs for one scalar component.
 
     Matrix-free BiCGStab, right-preconditioned with the constant-coefficient
-    operator S = (1/dt - nu lap)^{-1}, which is diagonal in Fourier space:
-    it solves (A S) y = rhs with the folded product above and returns
-    w = S y, so its residual is that of the original system. The returned
-    iteration figure counts operator applications during the solve; a
-    right-hand side that is not finite raises NoConvergenceError before any.
+    operator S = (1/dt - nu lap)^{-1} of spectral symbol `symbol`: it solves
+    (A S) y = rhs with the folded product above and returns w = S y, so its
+    residual is that of the original system. The returned iteration figure
+    counts operator applications during the solve; a right-hand side that is
+    not finite raises NoConvergenceError before any.
     """
     n = grid.n_modes
     rhs_norm = grid.norm(rhs)
@@ -95,7 +95,6 @@ def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, viscosity:
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
     shape = rhs.shape
-    symbol = 1.0 / (1.0 / dt + viscosity * grid._k2)
     applications = 0
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -126,8 +125,10 @@ def solve_velocity(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.n
     rhs = u_m / dt - np.stack(grid.grad(phi_m)) + forcing
     if extra_source is not None:
         rhs = rhs + extra_source
-    w, iters, residuals = zip(*(_advect_diffuse_solve(grid, u_m, r, params.viscosity, dt,
-                                                      cfg.krylov_tol, cfg.krylov_max_iter)
+    # S's symbol, formed in real arithmetic and cast once (spectral.py)
+    symbol = (1.0 / (1.0 / dt + params.viscosity * grid.k2)).astype(complex)
+    w, iters, residuals = zip(*(_advect_diffuse_solve(grid, u_m, r, symbol, cfg.krylov_tol,
+                                                      cfg.krylov_max_iter)
                                 for r in rhs))
     return np.stack(w), sum(iters), max(residuals)
 
@@ -142,10 +143,10 @@ def project_velocity(grid: Grid, u_tilde: np.ndarray, phi_m: np.ndarray,
     """
     sx = grid.rfft(u_tilde[0])
     sy = grid.rfft(u_tilde[1])
-    div_spec = grid._ikx * sx + grid._iky * sy
-    dphi_spec = -div_spec * grid._inv_k2_grad / dt  # lap dphi = div(u~)/dt
-    u_new = np.stack((grid.irfft(sx - dt * grid._ikx * dphi_spec),
-                      grid.irfft(sy - dt * grid._iky * dphi_spec)))
+    div_spec = grid.ikx * sx + grid.iky * sy
+    dphi_spec = -div_spec * grid.inv_k2_grad / dt  # lap dphi = div(u~)/dt
+    u_new = np.stack((grid.irfft(sx - dt * grid.ikx * dphi_spec),
+                      grid.irfft(sy - dt * grid.iky * dphi_spec)))
     return u_new, phi_m + grid.irfft(dphi_spec)
 
 

@@ -22,12 +22,13 @@ order unchanged, so a Krylov product allocates only the two stacks it
 returns and a residual the one (spectral.py says why). On the line path the
 derivatives are products with the dense 1-D differentiation matrix
 (Grid.diff_matrix), which the line solves hold anyway, so a residual or a
-Krylov product takes 2 transforms, the charge's and psi's; at N <= 128 the
-matrix products cost less than the transforms they replace (Trefethen,
-Spectral Methods in MATLAB, 2000, ch. 3). psi and mu are formed in physical
-space once per step, at the solution. GMRES works on the Jacobian
-right-preconditioned by a per-species
-operator P: each Krylov product returns the pair (J P v, P v)
+Krylov product takes 2 transforms, the charge's and psi's. The matrix
+products cost less than the transforms they replace at N = 64 and more from
+N = 128 on (ms per flux and charge, matrix / transforms, one BLAS thread:
+0.26 / 0.60 at N = 64, 1.88 / 1.51 at N = 128). psi and mu are formed in
+physical space once per step, at the solution. GMRES works on the Jacobian
+right-preconditioned by a per-species operator P: each Krylov product
+returns the pair (J P v, P v)
 (Step1System.preconditioned_action), and flexible GMRES (krylov.gmres)
 returns the Newton update itself, sum_k y_k P v_k, so P is applied once per
 product and never after the solve. P only shapes the Krylov space; the
@@ -405,13 +406,9 @@ class Step1System:
         # Krylov product: f (ln c or dc/c, then the flux), two real fields and
         # three half spectra (the charge and two more)
         self._f, self._real = np.empty_like(self.c_prev), np.empty_like(self.c_prev)
-        self._spec = np.empty((3, *grid._k2.shape), dtype=complex)
-        # the symbols that multiply those spectra, complex and of the spectra's
-        # shape: a real or broadcast operand would make numpy cast or copy it
-        # into a buffer of its own on every product, at twice the time
-        self._inv_eps_k2 = (grid._inv_k2 / params.epsilon).astype(complex)
-        self._ikx, self._iky = (np.broadcast_to(k, grid._k2.shape).copy()
-                                for k in (grid._ikx, grid._iky))
+        self._spec = np.empty((3, *grid.k2.shape), dtype=complex)
+        # psi's symbol, complex at the spectra's shape like the grid's (spectral.py)
+        self._inv_eps_k2 = (grid.inv_k2 / params.epsilon).astype(complex)
 
         self.line_path = max(float(ci.max() / ci.min()) for ci in self.c_prev) > LINE_CONTRAST
         self.line_ref, self.line_age = None, 0
@@ -425,7 +422,7 @@ class Step1System:
             # cbar the mean diffusion coefficient of the linearized operator
             # (M/c, not M itself: the Jacobian differentiates through ln c)
             d = params.diffusion
-            self._pre = [(1.0 / (1.0 / dt + d * float(ratio.mean()) * grid._k2)).astype(complex)
+            self._pre = [(1.0 / (1.0 / dt + d * float(ratio.mean()) * grid.k2)).astype(complex)
                          for ratio in self.m / self.c_prev]
 
     @cached_property
@@ -449,11 +446,11 @@ class Step1System:
         both arguments are overwritten and f is returned. psi drops its mean,
         so a net charge is not seen here. On the line path the derivatives
         are products with the differentiation matrix d on the whole stack,
-        the same collocation derivatives as the transforms and cheaper at the
-        sizes that path runs at: psi is transformed back once, 1 transform in
-        all. On the spectral path psi stays spectral and each species takes 6
-        transforms, 12 in all, every intermediate in the work arrays: once
-        f_i is transformed, its slot takes the species' flux.
+        the same collocation derivatives as the transforms: psi is
+        transformed back once, 1 transform in all. On the spectral path psi
+        stays spectral and each species takes 6 transforms, 12 in all, every
+        intermediate in the work arrays: once f_i is transformed, its slot
+        takes the species' flux.
         """
         grid = self.grid
         psi = charge
@@ -470,13 +467,13 @@ class Step1System:
             grid.rfft(fi, out=spec)
             spec += np.multiply(z, psi, out=tmp)
             # grad: the two derivative spectra of rfft(f_i) + z_i psi, transformed back
-            grid.irfft(np.multiply(self._ikx, spec, out=tmp), out=gx, scratch=tmp)
-            grid.irfft(np.multiply(self._iky, spec, out=tmp), out=gy, scratch=tmp)
+            grid.irfft(np.multiply(grid.ikx, spec, out=tmp), out=gx, scratch=tmp)
+            grid.irfft(np.multiply(grid.iky, spec, out=tmp), out=gy, scratch=tmp)
             # div(m grad): ikx rfft(m gx) + iky rfft(m gy), transformed back into f_i's slot
             grid.rfft(np.multiply(m, gx, out=gx), out=spec)
             grid.rfft(np.multiply(m, gy, out=gy), out=tmp)
-            np.multiply(self._ikx, spec, out=spec)
-            spec += np.multiply(self._iky, tmp, out=tmp)
+            np.multiply(grid.ikx, spec, out=spec)
+            spec += np.multiply(grid.iky, tmp, out=tmp)
             grid.irfft(spec, out=fi, scratch=spec)
         return np.multiply(diffusion, f, out=f)
 

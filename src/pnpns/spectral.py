@@ -15,21 +15,25 @@ Conventions fixed here and relied on everywhere else:
   * pure-periodic elliptic solves pin the (0, 0) coefficient of the
     solution to zero (zero-mean gauge).
 
-Transforms. Grid.rfft and Grid.irfft are the one transform path; they act
-on the last two axes, so a (2, N, N) stack transforms slice by slice. Each
-is one pass of numpy.fft's 1-D transforms per axis: rfft along axis -1, then
-fft in place along axis -2, and ifft then irfft for the inverse. The result
-is scipy.fft.rfft2's half-spectrum layout and, at N = 2^k, bitwise its
-values; at other N the inverse scales per axis and differs in the last bits.
-A default call leaves its input untouched and returns a new array. A caller
-that transforms every Krylov product passes `out=`, and irfft a complex
-`scratch` for its axis -2 pass, which may be the spectrum itself when the
-caller is done with it. Given work arrays, numpy's transforms allocate
-~0.3 % of an array per call. Transforms that allocate their results and
-temporaries on every call make glibc hand those pages back after each
-solve and fault them in again in the next: ~25 k minor faults per
-vortex256 step, against ~4 k with work arrays. The work arrays live with
-their caller (pnp.Step1System), not on the grid, which threads share.
+Transforms. Grid.rfft and Grid.irfft are the one transform path, over the
+last two axes (a (2, N, N) stack transforms slice by slice): numpy.fft's rfft
+along axis -1, then fft in place along axis -2, and ifft then irfft back.
+That is scipy.fft.rfft2's layout, bitwise its values at N = 2^k (at other N
+the inverse scales per axis and differs in the last bits). A default call
+leaves its input untouched and returns a new array; a caller that transforms
+every Krylov product passes `out=`, and irfft a complex `scratch` for its
+axis -2 pass (the spectrum itself once the caller is done with it). Reused
+work arrays spare glibc handing pages back and faulting them in again: ~4 k
+minor faults per vortex256 step against ~25 k. They live with their caller
+(pnp.Step1System), not on the grid, which threads share.
+
+Symbols. The grid owns every Fourier symbol, built once at the spectra's
+full (N, N/2 + 1) shape, public and read-only. ikx, iky (Nyquist-zeroed) and
+inv_k2_grad (1/|k|^2 of those wavenumbers, the projection's) are complex: numpy
+would copy or cast a broadcast or real operand on every product, at twice the
+time (46.6 against 26.7 us at N = 256). k2 and inv_k2 are real: callers derive
+symbols from them in real arithmetic and cast last, since complex division by
+a real eps rounds as a * (1/eps), not as a / eps.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class Grid:
 
     Immutable after construction, apart from the differentiation matrix,
     which is built on first use; safe to share between threads. All array
-    attributes are read-only views.
+    attributes, the Fourier symbols among them, are read-only.
     """
 
     def __init__(self, n_modes: int):
@@ -65,36 +69,26 @@ class Grid:
         self.xx, self.yy = np.meshgrid(coords, coords, indexing="ij")
 
         # half-spectrum layout: full FFT along axis 0 (x), real FFT along axis 1 (y).
-        kx = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, domain 2*pi
-        ky = np.arange(n // 2 + 1, dtype=float)
-        kx_col = kx[:, None]
-        ky_row = ky[None, :]
+        kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # integer wavenumbers, domain 2*pi
+        ky = np.arange(n // 2 + 1, dtype=float)[None, :]
 
         # first derivatives drop the unmatched -N/2 mode
         kx_odd = kx.copy()
         kx_odd[n // 2] = 0.0
         ky_odd = ky.copy()
-        ky_odd[-1] = 0.0
-        self._ikx = 1j * kx_odd[:, None]
-        self._iky = 1j * ky_odd[None, :]
+        ky_odd[0, -1] = 0.0
+        self.ikx, self.iky = (np.broadcast_to(1j * k, (n, n // 2 + 1)).copy()
+                              for k in (kx_odd, ky_odd))
 
-        self._k2 = kx_col**2 + ky_row**2
-        inv_k2 = np.zeros_like(self._k2)
-        nonzero = self._k2 > 0
-        inv_k2[nonzero] = 1.0 / self._k2[nonzero]
-        self._inv_k2 = inv_k2
-
+        self.k2 = kx**2 + ky**2
+        self.inv_k2 = _reciprocal_or_zero(self.k2)
         # |k|^2 built from the derivative wavenumbers (Nyquist rows zeroed);
         # used by the velocity projector so that div(project(v)) vanishes
         # identically for any input, Nyquist content included
-        k2_grad = kx_odd[:, None] ** 2 + ky_odd[None, :] ** 2
-        inv_k2_grad = np.zeros_like(k2_grad)
-        nz = k2_grad > 0
-        inv_k2_grad[nz] = 1.0 / k2_grad[nz]
-        self._inv_k2_grad = inv_k2_grad
+        self.inv_k2_grad = _reciprocal_or_zero(kx_odd**2 + ky_odd**2).astype(complex)
 
-        for arr in (self.x, self.y, self.xx, self.yy, self._k2, self._inv_k2,
-                    self._inv_k2_grad, self._ikx, self._iky):
+        for arr in (self.x, self.y, self.xx, self.yy, self.k2, self.inv_k2,
+                    self.inv_k2_grad, self.ikx, self.iky):
             arr.setflags(write=False)
 
     # -- equality / hashing: a grid is fully determined by N ---------------
@@ -129,10 +123,10 @@ class Grid:
 
     # -- derivatives (array level) -------------------------------------------
     def ddx(self, values: np.ndarray) -> np.ndarray:
-        return self.irfft(self._ikx * self.rfft(values))
+        return self.irfft(self.ikx * self.rfft(values))
 
     def ddy(self, values: np.ndarray) -> np.ndarray:
-        return self.irfft(self._iky * self.rfft(values))
+        return self.irfft(self.iky * self.rfft(values))
 
     @cached_property
     def diff_matrix(self) -> np.ndarray:
@@ -150,10 +144,10 @@ class Grid:
 
     def grad_spectrum(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient of the field whose half spectrum is spec."""
-        return self.irfft(self._ikx * spec), self.irfft(self._iky * spec)
+        return self.irfft(self.ikx * spec), self.irfft(self.iky * spec)
 
     def div(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        return self.irfft(self._ikx * self.rfft(vx) + self._iky * self.rfft(vy))
+        return self.irfft(self.ikx * self.rfft(vx) + self.iky * self.rfft(vy))
 
     # -- quadrature ------------------------------------------------------------
     def integral(self, values: np.ndarray) -> float:
@@ -181,8 +175,13 @@ class Grid:
                 f"inv_laplacian requires a zero-mean source; <f,1>={self.integral(values):.3e}"
             )
         spec = self.rfft(values)
-        spec = spec * self._inv_k2  # (0,0) entry of inv_k2 is 0: mean pinned
+        spec = spec * self.inv_k2  # (0,0) entry of inv_k2 is 0: mean pinned
         return self.irfft(spec)
+
+
+def _reciprocal_or_zero(k2: np.ndarray) -> np.ndarray:
+    """1 / k2 where k2 > 0, and 0 where it vanishes: the mean mode (zero-mean gauge)."""
+    return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
 
 @lru_cache(maxsize=None)

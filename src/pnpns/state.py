@@ -49,6 +49,9 @@ class SchemeConfig:
             raise ValueError(f"n_modes must be even and >= 4, got {self.n_modes}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        for name, times in (("t_final", (self.t_final,)), ("snapshot_times", self.snapshot_times)):
+            if not all(map(math.isfinite, times)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         steps = self.n_steps
         if steps < 1 or not math.isclose(steps * self.dt, self.t_final,
                                          rel_tol=1e-9, abs_tol=0.0):

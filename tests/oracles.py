@@ -97,7 +97,7 @@ def dft_inv_laplacian(values: np.ndarray) -> np.ndarray:
 
 def laplacian(grid, values: np.ndarray) -> np.ndarray:
     """The spectral Laplacian: mode (k, l) times -(k^2 + l^2)."""
-    return grid.irfft(-grid._k2 * grid.rfft(values))
+    return grid.irfft(-grid.k2 * grid.rfft(values))
 
 
 def _check_mobility(m_values: np.ndarray) -> None:
@@ -150,7 +150,7 @@ def solve_weighted_laplacian(grid, m_values: np.ndarray, f_values: np.ndarray,
         # zero-mean component through (-lap)^{-1}; the (0,0) mode passes
         # through unchanged so the operator stays SPD on all of R^{N^2}
         dc = spec[0, 0]
-        spec = spec * grid._inv_k2
+        spec = spec * grid.inv_k2
         spec[0, 0] = dc
         return grid.irfft(spec).ravel()
 

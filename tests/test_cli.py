@@ -127,6 +127,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_physics_exits_1(self, tmp_path, capsys, value):
+        # json reads Infinity and NaN, and Infinity passes the schema's exclusiveMinimum
+        cfg_path = write_config(tmp_path / "run.json", physics={"kappa": value})
+        assert main(["run", str(cfg_path)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("time, field", [
+        ({"dt": 0.05, "t_final": np.nan}, "t_final"),
+        ({"dt": 0.05, "t_final": np.inf}, "t_final"),
+        ({"dt": 0.05, "t_final": 0.15, "snapshot_times": [np.nan, 0.05]}, "snapshot_times"),
+        ({"dt": 0.05, "t_final": 0.15, "snapshot_times": [0.05, np.inf]}, "snapshot_times"),
+    ])
+    def test_nonfinite_times_rejected(self, tmp_path, time, field):
+        # a NaN snapshot time sorts first, is never reached and held back every later one
+        cfg_path = write_config(tmp_path / "run.json", time=time)
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            load_config(cfg_path)
+        assert main(["run", str(cfg_path)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_convergence_needs_dt_list(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.json")
         with pytest.raises(ConfigError):

@@ -108,7 +108,7 @@ class TestPreconditionedProduct:
     def setting(self, grid8, rng):
         dt, viscosity = 0.05, 0.3
         u = np.stack(div_free_velocity(grid8, rng, amplitude=0.7, kmax=3))
-        symbol = 1.0 / (1.0 / dt + viscosity * grid8._k2)
+        symbol = 1.0 / (1.0 / dt + viscosity * grid8.k2)
         return grid8, u, symbol, dt, viscosity
 
     def test_matches_operator_after_preconditioner(self, setting):

@@ -1,6 +1,7 @@
 """Spectral infrastructure: transforms, derivatives, quadrature, elliptic solves."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,56 @@ class TestTransformsMatchScipy:
                               env={**os.environ, "PYTHONPATH": str(src)},
                               timeout=120, check=True)
         assert done.stdout.strip() == "False"
+
+
+class TestSymbols:
+    """The grid's Fourier symbols: one full-shape, read-only copy, owned by spectral.py."""
+
+    COMPLEX = ("ikx", "iky", "inv_k2_grad")
+    REAL = ("k2", "inv_k2")
+
+    @staticmethod
+    def broadcast_symbols(n: int) -> dict:
+        """The symbols as (N, 1) and (1, N/2 + 1) factors, built here from the wavenumbers."""
+        kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        ky = np.arange(n // 2 + 1, dtype=float)[None, :]
+        kx_odd, ky_odd = kx.copy(), ky.copy()
+        kx_odd[n // 2], ky_odd[0, -1] = 0.0, 0.0
+
+        def reciprocal(k2):
+            return np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+
+        return {"ikx": 1j * kx_odd, "iky": 1j * ky_odd, "k2": kx**2 + ky**2,
+                "inv_k2": reciprocal(kx**2 + ky**2),
+                "inv_k2_grad": reciprocal(kx_odd**2 + ky_odd**2)}
+
+    @pytest.mark.parametrize("name", COMPLEX + REAL)
+    def test_full_shape_and_read_only(self, grid, name):
+        symbol = getattr(grid, name)
+        n = grid.n_modes
+        assert symbol.shape == (n, n // 2 + 1)
+        assert symbol.dtype == (complex if name in self.COMPLEX else float)
+        with pytest.raises(ValueError):
+            symbol[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", COMPLEX + REAL)
+    @pytest.mark.parametrize("n", [8, 16, 256])
+    def test_product_is_bitwise_the_broadcast_product(self, rng, name, n):
+        grid = make_grid(n)
+        spec = grid.rfft(rng.standard_normal((2, n, n)))
+        expected = self.broadcast_symbols(n)[name] * spec
+        assert np.array_equal(getattr(grid, name) * spec, expected)
+        assert np.array_equal(getattr(grid, name) * spec[0], expected[0])
+
+    def test_only_spectral_py_reads_grid_private_attributes(self):
+        private_read = re.compile(r"\bgrid\w*\._\w")
+        package = Path(pnpns.__file__).parent
+        sources = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+        offenders = [f"{path.name}:{k}: {line.strip()}"
+                     for path in sources if path.name != "spectral.py"
+                     for k, line in enumerate(path.read_text().splitlines(), 1)
+                     if private_read.search(line)]
+        assert offenders == []
 
 
 class TestDerivatives:
