@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import mms
 from .config import build_initial_state, load_config
-from .errors import NoConvergenceError, PnpnsError
+from .errors import ConfigError, PnpnsError
 from .integrator import check_schedule, run
 from .snapshot import atomic_write, read_snapshot, read_snapshot_meta, write_snapshot
 from .state import StepDiagnostics, mass
@@ -76,7 +76,12 @@ def cmd_run(config_path: str) -> int:
         config = load_config(config_path)
         state, forcing = build_initial_state(config)
         check_schedule(state, config.scheme)  # before diagnostics.csv is opened
-    except PnpnsError as exc:
+        # Rows stream to disk as their steps complete, so a run that fails or
+        # is killed leaves the steps it finished as evidence.
+        diagnostics_path = config.output_dir / config.diagnostics_csv
+        diagnostics_path.parent.mkdir(parents=True, exist_ok=True)
+        diagnostics = open(diagnostics_path, "w", encoding="ascii", newline="\n")
+    except (PnpnsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -91,11 +96,7 @@ def cmd_run(config_path: str) -> int:
         snapshot_index += 1
         return path
 
-    # Rows stream to disk as their steps complete, so a run that fails or is
-    # killed leaves the steps it finished as evidence.
-    diagnostics_path = out_dir / config.diagnostics_csv
-    diagnostics_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(diagnostics_path, "w", encoding="ascii", newline="\n") as diagnostics:
+    with diagnostics:
         def write_row(cells) -> None:
             diagnostics.write(",".join(cells) + "\n")
             diagnostics.flush()
@@ -140,16 +141,19 @@ def cmd_convergence(config_path: str) -> int:
         config = load_config(config_path, need_dt_list=True)
         if config.initial["preset"] != "mms":
             raise PnpnsError("convergence runs require the mms preset")
-        variant = config.initial.get("variant", mms.DIVERGENCE_FREE)
-        workers = mms.default_thread_count()
-        rows = mms.convergence_study(config.dt_list, config.scheme, config.params,
-                                     variant, max_workers=workers)
-    except NoConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    except PnpnsError as exc:
+        csv_path = config.output_dir / config.convergence_csv
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+    except (PnpnsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        rows = mms.convergence_study(config.dt_list, config.scheme, config.params)
+    except ConfigError as exc:  # a dt_list the study rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except PnpnsError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
 
     csv_lines = [",".join(CONVERGENCE_COLUMNS)]
     for row in rows:
@@ -158,7 +162,7 @@ def cmd_convergence(config_path: str) -> int:
         csv_lines.append(",".join(
             [_fmt(c) for c in cells] + ["" if o is None else _fmt(o) for o in orders]
         ))
-    _write_lines(config.output_dir / config.convergence_csv, csv_lines)
+    _write_lines(csv_path, csv_lines)
     print(_format_convergence_table(rows))
     return 0
 

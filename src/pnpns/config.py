@@ -34,8 +34,6 @@ _SOLVER_SCHEMA = {
     "properties": {
         "newton_tol": _NUMBER_POS,
         "newton_max_iter": {"type": "integer", "minimum": 1},
-        "krylov_tol": _NUMBER_POS,
-        "krylov_max_iter": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -45,9 +43,8 @@ _INITIAL_SCHEMA = {
     "required": ["preset"],
     "properties": {
         "preset": {"enum": ["uniform", "blobs_5_2", "mms", "from_snapshot"]},
-        "value": _NUMBER_POS,                     # uniform
-        "variant": {"enum": list(mms.VARIANTS)},  # mms
-        "path": {"type": "string"},               # from_snapshot
+        "value": _NUMBER_POS,        # uniform
+        "path": {"type": "string"},  # from_snapshot
     },
 }
 
@@ -195,8 +192,7 @@ def build_initial_state(config: RunConfig) -> tuple[SimState, object | None]:
                            None, params, scheme)
         return state, None
     if preset == "mms":
-        variant = config.initial.get("variant", mms.DIVERGENCE_FREE)
-        case = mms.make_case(params, variant)
+        case = mms.make_case(params)
         return case.initial_state(scheme), case
     if preset == "from_snapshot":
         if "path" not in config.initial:

@@ -1,7 +1,8 @@
 """Exception types shared across the solver.
 
 Each one survives a pickle round trip with its type, message and
-attributes, so a failure in a worker process reaches the caller intact.
+attributes: the package runs in one process, but a caller that runs studies
+in worker processes of its own gets their failures back intact.
 """
 
 

@@ -105,7 +105,7 @@ def advance(state: SimState, params: PhysParams, cfg: SchemeConfig,
         step1 = solve_step1(state, params, dt, cfg, sources=ion_src)
         forcing = ion_forcing(grid, (state.p.values, state.n.values), step1.mu, params.kappa)
         vel = velocity_step(grid, state.u.values, state.phi.values, forcing, momentum_src,
-                            params, dt, cfg)
+                            params, dt)
     except NoConvergenceError as exc:
         raise NoConvergenceError(
             f"step {state.step_index + 1} (t={t_new:g}) failed: {exc.bare_message}",

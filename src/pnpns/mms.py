@@ -4,15 +4,12 @@ The closed-form target is
 
     p   = 1.1 + cos(x) cos(y) sin(t)
     n   = 1.1 - cos(x) cos(y) cos(t)
-    u   = ( sin(x)^2 sin(2y) sin(t),  -sin(2x) sin(y)^2 g(t) )
+    u   = ( sin(x)^2 sin(2y) sin(t),  -sin(2x) sin(y)^2 sin(t) )
     P   = cos(x) cos(y) sin(t)
     psi = cos(x) cos(y) (sin(t) + cos(t)) / (2 eps)
 
-with g(t) = sin(t) for the default "divergence-free" variant and
-g(t) = cos(t) for the "paper-exact" variant. The latter has
-div u = sin(2x) sin(2y) (sin t - cos t) != 0 and is kept only for
-archaeology: the scheme enforces a solenoidal velocity, so clean rates
-need the divergence-free target.
+The velocity is divergence-free, because the scheme enforces a solenoidal
+velocity: a target whose div u does not vanish gives no clean rates.
 
 Forcing terms are derived symbolically (sympy) from the strong equations
 
@@ -28,8 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,10 +34,6 @@ from .errors import ConfigError
 from .integrator import initialize, run
 from .spectral import Field, Grid, make_grid
 from .state import PhysParams, SchemeConfig
-
-PAPER_EXACT = "paper-exact"
-DIVERGENCE_FREE = "divergence-free"
-VARIANTS = (DIVERGENCE_FREE, PAPER_EXACT)
 
 
 def forcing_expressions(syms, p, n, psi, u1, u2, pressure, params: PhysParams):
@@ -79,7 +70,7 @@ def forcing_expressions(syms, p, n, psi, u1, u2, pressure, params: PhysParams):
     return sp.expand(f_p), sp.expand(f_n), sp.expand(f_u1), sp.expand(f_u2)
 
 
-def _symbolic_fields(variant: str, params: PhysParams):
+def _symbolic_fields(params: PhysParams):
     import sympy as sp
 
     x, y, t = sp.symbols("x y t", real=True)
@@ -89,12 +80,7 @@ def _symbolic_fields(variant: str, params: PhysParams):
     n = sp.Rational(11, 10) - sp.cos(x) * sp.cos(y) * sp.cos(t)
     psi = sp.cos(x) * sp.cos(y) * (sp.sin(t) + sp.cos(t)) / (2 * eps)
     u1 = sp.sin(x) ** 2 * sp.sin(2 * y) * sp.sin(t)
-    if variant == DIVERGENCE_FREE:
-        u2 = -sp.sin(2 * x) * sp.sin(y) ** 2 * sp.sin(t)
-    elif variant == PAPER_EXACT:
-        u2 = -sp.sin(2 * x) * sp.sin(y) ** 2 * sp.cos(t)
-    else:
-        raise ConfigError(f"unknown manufactured-solution variant {variant!r}")
+    u2 = -sp.sin(2 * x) * sp.sin(y) ** 2 * sp.sin(t)
     pressure = sp.cos(x) * sp.cos(y) * sp.sin(t)
 
     f_p, f_n, f_u1, f_u2 = forcing_expressions(
@@ -111,7 +97,6 @@ def _symbolic_fields(variant: str, params: PhysParams):
 class MMSCase:
     """Closed-form exact solution plus its derived forcing terms."""
 
-    variant: str
     params: PhysParams
     _fns: dict
 
@@ -158,14 +143,14 @@ class MMSCase:
 
 
 @lru_cache(maxsize=8)
-def make_case(params: PhysParams, variant: str = DIVERGENCE_FREE) -> MMSCase:
+def make_case(params: PhysParams) -> MMSCase:
     """Build (and cache) the symbolic case for one parameter set."""
     import sympy as sp
 
-    syms, exprs = _symbolic_fields(variant, params)
+    syms, exprs = _symbolic_fields(params)
     fns = {name: sp.lambdify(syms, expr, modules="numpy")
            for name, expr in exprs.items()}
-    return MMSCase(variant=variant, params=params, _fns=fns)
+    return MMSCase(params=params, _fns=fns)
 
 
 def l2_error(numeric: Field, exact: Field) -> float:
@@ -190,9 +175,8 @@ class ConvergenceRow:
     order_psi: float | None = None
 
 
-def _errors_for_cfg(cfg: SchemeConfig, params: PhysParams,
-                    variant: str) -> tuple[float, float, float, float]:
-    case = make_case(params, variant)
+def _errors_for_cfg(cfg: SchemeConfig, params: PhysParams) -> tuple[float, float, float, float]:
+    case = make_case(params)
     grid = make_grid(cfg.n_modes)
     state = case.initial_state(cfg)
     record = run(state, params, cfg, sources=case)
@@ -202,20 +186,12 @@ def _errors_for_cfg(cfg: SchemeConfig, params: PhysParams,
             l2_error(final.u, u_ex), l2_error(final.psi, psi_ex))
 
 
-def _worker(args):
-    return _errors_for_cfg(*args)
-
-
-def convergence_study(dt_list, cfg: SchemeConfig, params: PhysParams,
-                      variant: str = DIVERGENCE_FREE,
-                      max_workers: int | None = None) -> list[ConvergenceRow]:
+def convergence_study(dt_list, cfg: SchemeConfig, params: PhysParams) -> list[ConvergenceRow]:
     """Run the scheme for each dt and report errors with observed orders.
 
     Each run is cfg with its dt replaced and no snapshots: the grid, final
     time and solver options carry over. dt_list must be strictly decreasing
-    and each dt must divide cfg.t_final.
-    With max_workers > 1 the per-dt runs execute in separate processes
-    (they share nothing); results are ordered by dt regardless.
+    and each dt must divide cfg.t_final; the runs execute in turn, in order.
     """
     dts = [float(dt) for dt in dt_list]
     if not dts:
@@ -223,16 +199,10 @@ def convergence_study(dt_list, cfg: SchemeConfig, params: PhysParams,
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise ConfigError("dt_list must be strictly decreasing")
     try:
-        jobs = [(dataclasses.replace(cfg, dt=dt, snapshot_times=()), params, variant)
-                for dt in dts]
+        cfgs = [dataclasses.replace(cfg, dt=dt, snapshot_times=()) for dt in dts]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if max_workers is not None and max_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(jobs))) as pool:
-            errors = list(pool.map(_worker, jobs))
-    else:
-        errors = [_worker(job) for job in jobs]
+    errors = [_errors_for_cfg(c, params) for c in cfgs]
 
     rows: list[ConvergenceRow] = []
     for i, (dt, errs) in enumerate(zip(dts, errors)):
@@ -246,12 +216,3 @@ def convergence_study(dt_list, cfg: SchemeConfig, params: PhysParams,
             )
         rows.append(ConvergenceRow(dt, *errs, *orders))
     return rows
-
-
-def default_thread_count() -> int:
-    """Parallelism cap from the PNPNS_THREADS environment variable."""
-    raw = os.environ.get("PNPNS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PNPNS_THREADS must be an integer, got {raw!r}")

@@ -9,8 +9,10 @@ one scalar advection-diffusion solve per component (the convection couples
 nothing across components). Each is BiCGStab on the right-preconditioned
 operator A S, with S = (1/dt - nu_vis lap)^{-1} diagonal in Fourier space;
 since (1/dt - nu_vis lap) S = I, one product is v + u_old . grad(S v), three
-transforms where applying S and A in turn takes six. Step 3 projects u~
-onto the discretely divergence-free space through a pressure increment:
+transforms where applying S and A in turn takes six. Its tolerance and
+budget are the module constants MOMENTUM_TOL and MOMENTUM_MAX_ITER. Step 3
+projects u~ onto the discretely divergence-free space through a pressure
+increment:
 
     lap(dphi) = div(u~)/dt,   phi_new = phi_old + dphi,
     u_new = u~ - dt grad(dphi).
@@ -33,7 +35,12 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import NoConvergenceError
 from .spectral import Grid
-from .state import PhysParams, SchemeConfig
+from .state import PhysParams
+
+#: relative residual at which each component's BiCGStab momentum solve stops
+MOMENTUM_TOL = 1e-12
+#: BiCGStab iterations allowed per component before NoConvergenceError
+MOMENTUM_MAX_ITER = 200
 
 
 @dataclass
@@ -77,8 +84,8 @@ def _convection(grid: Grid, u: np.ndarray, spec: np.ndarray) -> np.ndarray:
     return u[0] * gx + u[1] * gy
 
 
-def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, symbol: np.ndarray,
-                          tol: float, max_iter: int) -> tuple[np.ndarray, int, float]:
+def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray,
+                          symbol: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Solve (1/dt + u.grad - nu lap) w = rhs for one scalar component.
 
     Matrix-free BiCGStab, right-preconditioned with the constant-coefficient
@@ -103,7 +110,7 @@ def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, symbol: np
         return advect_diffuse_product(grid, u, symbol, vec.reshape(shape)).ravel()
 
     op = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    y, info = bicgstab(op, rhs.ravel(), rtol=tol, atol=0.0, maxiter=max_iter)
+    y, info = bicgstab(op, rhs.ravel(), rtol=MOMENTUM_TOL, atol=0.0, maxiter=MOMENTUM_MAX_ITER)
     y = y.reshape(shape)
     # w = S y, and A w - rhs = y + u.grad(w) - rhs: both from one spectrum
     spec = symbol * grid.rfft(y)
@@ -115,7 +122,7 @@ def _advect_diffuse_solve(grid: Grid, u: np.ndarray, rhs: np.ndarray, symbol: np
 
 def solve_velocity(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.ndarray,
                    extra_source: np.ndarray | None, params: PhysParams,
-                   dt: float, cfg: SchemeConfig) -> tuple[np.ndarray, int, float]:
+                   dt: float) -> tuple[np.ndarray, int, float]:
     """Step-2 intermediate velocity (see module docstring).
 
     u_m, forcing and extra_source are (2, N, N) stacks, phi_m an (N, N)
@@ -127,9 +134,7 @@ def solve_velocity(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.n
         rhs = rhs + extra_source
     # S's symbol, formed in real arithmetic and cast once (spectral.py)
     symbol = (1.0 / (1.0 / dt + params.viscosity * grid.k2)).astype(complex)
-    w, iters, residuals = zip(*(_advect_diffuse_solve(grid, u_m, r, symbol, cfg.krylov_tol,
-                                                      cfg.krylov_max_iter)
-                                for r in rhs))
+    w, iters, residuals = zip(*(_advect_diffuse_solve(grid, u_m, r, symbol) for r in rhs))
     return np.stack(w), sum(iters), max(residuals)
 
 
@@ -152,9 +157,9 @@ def project_velocity(grid: Grid, u_tilde: np.ndarray, phi_m: np.ndarray,
 
 def velocity_step(grid: Grid, u_m: np.ndarray, phi_m: np.ndarray, forcing: np.ndarray,
                   extra_source: np.ndarray | None, params: PhysParams,
-                  dt: float, cfg: SchemeConfig) -> VelocityResult:
+                  dt: float) -> VelocityResult:
     """Run Steps 2 and 3 together on arrays (solve_velocity, then project_velocity)."""
     u_tilde, iters, residual = solve_velocity(grid, u_m, phi_m, forcing, extra_source,
-                                              params, dt, cfg)
+                                              params, dt)
     u_new, phi_new = project_velocity(grid, u_tilde, phi_m, dt)
     return VelocityResult(u_new=u_new, phi_new=phi_new, krylov_iters=iters, residual=residual)

@@ -12,8 +12,8 @@ Layout (version 2):
 
 A version-1 file has no line reference; it loads with none, so its first
 line-path step rebuilds. Writes are atomic (temp file + rename). Reading
-validates the metadata and rejects non-finite payloads, non-positive
-concentrations or references, and a line age outside
+validates the metadata and rejects an unreadable file, non-finite payloads,
+non-positive concentrations or references, and a line age outside
 [1, LINE_REBUILD_PERIOD], since a snapshot is outside input.
 """
 
@@ -142,24 +142,30 @@ def _check_meta(meta: dict, path: Path) -> None:
 def read_snapshot_meta(path) -> dict:
     """Header/metadata of a snapshot file, without loading the fields."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        return _read_meta(fh, path)
+    try:
+        with open(path, "rb") as fh:
+            return _read_meta(fh, path)
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {path}: {exc}") from exc
 
 
 def read_snapshot(path, expected_n_modes: int | None = None) -> SimState:
     """Load a state; fails cleanly on corrupt/truncated files or a wrong grid."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        meta = _read_meta(fh, path)
-        n = meta["n_modes"]
-        if expected_n_modes is not None and n != expected_n_modes:
-            raise RejectedGridError(
-                f"{path}: snapshot is {n}x{n}, "
-                f"run expects {expected_n_modes}x{expected_n_modes}"
-            )
-        names = meta["fields"]
-        count = n * n * len(names)
-        payload = fh.read(count * 8 + 1)  # +1 detects trailing garbage
+    try:
+        with open(path, "rb") as fh:
+            meta = _read_meta(fh, path)
+            n = meta["n_modes"]
+            if expected_n_modes is not None and n != expected_n_modes:
+                raise RejectedGridError(
+                    f"{path}: snapshot is {n}x{n}, "
+                    f"run expects {expected_n_modes}x{expected_n_modes}"
+                )
+            names = meta["fields"]
+            count = n * n * len(names)
+            payload = fh.read(count * 8 + 1)  # +1 detects trailing garbage
+    except OSError as exc:
+        raise SnapshotError(f"cannot read {path}: {exc}") from exc
     if len(payload) < count * 8:
         raise SnapshotError(f"{path}: truncated payload "
                             f"({len(payload)} of {count * 8} bytes)")

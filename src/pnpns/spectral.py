@@ -91,13 +91,6 @@ class Grid:
                     self.inv_k2_grad, self.ikx, self.iky):
             arr.setflags(write=False)
 
-    # -- equality / hashing: a grid is fully determined by N ---------------
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and other.n_modes == self.n_modes
-
-    def __hash__(self) -> int:
-        return hash(("Grid", self.n_modes))
-
     def __repr__(self) -> str:
         return f"Grid(n_modes={self.n_modes})"
 

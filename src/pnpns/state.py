@@ -40,8 +40,6 @@ class SchemeConfig:
     t_final: float
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
-    krylov_tol: float = 1e-12
-    krylov_max_iter: int = 200
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):

@@ -251,12 +251,11 @@ class FdForcingOracle:
     4th-order central differences on an n_probe^2 periodic grid.
     """
 
-    def __init__(self, params, variant: str, n_probe: int = 512):
+    def __init__(self, params, n_probe: int = 512):
         self.eps = params.epsilon
         self.kappa = params.kappa
         self.diff = params.diffusion
         self.visc = params.viscosity
-        self.variant = variant
         self.n = n_probe
         self.h = TWO_PI / n_probe
         coords = np.arange(n_probe) * self.h
@@ -276,8 +275,7 @@ class FdForcingOracle:
         return np.sin(self.x) ** 2 * np.sin(2 * self.y) * np.sin(t)
 
     def u2(self, t):
-        g = np.sin(t) if self.variant == "divergence-free" else np.cos(t)
-        return -np.sin(2 * self.x) * np.sin(self.y) ** 2 * g
+        return -np.sin(2 * self.x) * np.sin(self.y) ** 2 * np.sin(t)
 
     def pressure(self, t):
         return np.cos(self.x) * np.cos(self.y) * np.sin(t)

@@ -48,7 +48,7 @@ def _report(criterion: str, detail: str = ""):
 def convergence_rows():
     started = time.perf_counter()
     cfg = SchemeConfig(n_modes=64, dt=TABLE1_DT[0], t_final=0.5)
-    rows = mms.convergence_study(TABLE1_DT, cfg, PhysParams(), variant=mms.DIVERGENCE_FREE)
+    rows = mms.convergence_study(TABLE1_DT, cfg, PhysParams())
     elapsed = time.perf_counter() - started
     return rows, elapsed
 

@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pnpns
 from pnpns import integrator, mms
 from pnpns.cli import main
 from pnpns.config import blob_concentration, build_initial_state, load_config
@@ -91,19 +94,28 @@ class TestConfig:
         assert config.params.kappa == 1.0
         assert config.initial["preset"] == "uniform"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "run.json")
         doc = json.loads(cfg_path.read_text())
         doc["grid"]["resolution"] = 4
         cfg_path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             load_config(cfg_path)
-        # the keys of removed options (the 3/2-rule product, the objective
-        # tracking that nothing read) are unknown too
-        for removed in ({"dealias": False}, {"track_functional": True}):
-            cfg_path = write_config(tmp_path / "run.json", solver=removed)
-            with pytest.raises(ConfigError):
+        # the keys of removed options are unknown too: the 3/2-rule product,
+        # the objective tracking that nothing read, the paper-exact
+        # manufactured target, and the momentum solve's tolerances (ns.py
+        # constants)
+        for section, removed in (("solver", {"dealias": False}),
+                                 ("solver", {"track_functional": True}),
+                                 ("initial", {"preset": "mms", "variant": "divergence-free"}),
+                                 ("solver", {"krylov_tol": 1e-12}),
+                                 ("solver", {"krylov_max_iter": 200})):
+            key = list(removed)[-1]
+            cfg_path = write_config(tmp_path / "run.json", **{section: removed})
+            with pytest.raises(ConfigError, match=repr(key)):
                 load_config(cfg_path)
+            assert main(["run", str(cfg_path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {cfg_path}: ")
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.json", extra={"a": 1})
@@ -149,6 +161,13 @@ class TestConfig:
         assert main(["run", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_no_module_reads_the_environment(self):
+        # a run is set by its configuration file and arguments, never by the environment
+        package = Path(pnpns.__file__).parent
+        offenders = [path.name for path in sorted(package.glob("*.py"))
+                     if re.search(r"\b(environ|getenv)\b", path.read_text())]
+        assert offenders == []
+
     def test_convergence_needs_dt_list(self, tmp_path):
         cfg_path = write_config(tmp_path / "run.json")
         with pytest.raises(ConfigError):
@@ -162,7 +181,7 @@ class TestConfig:
 
     def test_presets_build(self, tmp_path):
         for preset in ({"preset": "uniform", "value": 2.0},
-                       {"preset": "mms", "variant": "divergence-free"}):
+                       {"preset": "mms"}):
             cfg_path = write_config(tmp_path / "run.json", initial=preset)
             config = load_config(cfg_path)
             state, forcing = build_initial_state(config)
@@ -449,15 +468,39 @@ class TestCommands:
         assert main(["convergence", str(cfg_path)]) == 2
         assert "solver failure" in capsys.readouterr().err
 
-    def test_convergence_worker_failure_exits_2(self, tmp_path, capsys, monkeypatch):
-        # the worker's NoConvergenceError must unpickle in the parent process
-        monkeypatch.setenv("PNPNS_THREADS", "2")
-        cfg_path = write_config(
-            tmp_path / "conv.json", grid={"n_modes": 8}, solver={"newton_tol": 1e-30},
-            initial={"preset": "mms"},
-            time={"dt_list": [0.02, 0.01], "t_final": 0.02})
-        assert main(["convergence", str(cfg_path)]) == 2
-        assert "solver failure" in capsys.readouterr().err
+    @pytest.mark.parametrize("error", [MassMismatchError, NonPositiveConcentrationError])
+    @pytest.mark.parametrize("command", ["run", "convergence"])
+    def test_solver_error_exits_2_from_both_commands(self, tmp_path, capsys, monkeypatch,
+                                                     command, error):
+        def failing_step1(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(integrator, "solve_step1", failing_step1)
+        time = ({"dt": 0.02, "t_final": 0.04} if command == "run"
+                else {"dt_list": [0.02, 0.01], "t_final": 0.04})
+        cfg_path = write_config(tmp_path / "cfg.json", grid={"n_modes": 8},
+                                initial={"preset": "mms"}, time=time)
+        assert main([command, str(cfg_path)]) == 2
+        assert "solver failure: injected" in capsys.readouterr().err
+
+    def test_uncreatable_output_dir_exits_1_before_any_step(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the output location was created")
+
+        monkeypatch.setattr(integrator, "advance", no_work)
+        monkeypatch.setattr(mms, "convergence_study", no_work)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        output = {"dir": str(blocker / "out")}
+        run_cfg = write_config(tmp_path / "run.json", output=output)
+        conv_cfg = write_config(tmp_path / "conv.json", output=output,
+                                initial={"preset": "mms"},
+                                time={"dt_list": [0.02, 0.01], "t_final": 0.06})
+        assert main(["run", str(run_cfg)]) == 1
+        assert main(["convergence", str(conv_cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error:") for line in err)
 
     def test_convergence_rejects_run_config(self, tmp_path):
         cfg_path = write_config(tmp_path / "conv.json",
@@ -477,6 +520,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "16 x 16" in out
         assert "mass" in out
+
+    @pytest.mark.parametrize("name", ["missing.bin", "a_directory"])
+    def test_unreadable_snapshot_exits_1(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        for read in (read_snapshot_meta, read_snapshot):
+            with pytest.raises(SnapshotError, match="cannot read"):
+                read(path)
+        cfg_path = write_config(tmp_path / "run.json",
+                                initial={"preset": "from_snapshot", "path": str(path)})
+        assert main(["inspect", str(path)]) == 1
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count(f"error: cannot read {path}") == 2
 
     def test_inspect_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "junk.bin"

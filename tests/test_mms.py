@@ -37,11 +37,6 @@ def case():
     return mms.make_case(PhysParams())
 
 
-@pytest.fixture(scope="module")
-def paper_case():
-    return mms.make_case(PhysParams(), mms.PAPER_EXACT)
-
-
 class TestExactState:
     def test_initial_time_divergence_free_variant(self, case, grid16):
         p, n, u, pressure, psi = case.exact_state(0.0, grid16)
@@ -50,12 +45,6 @@ class TestExactState:
         assert np.abs(n.values - expected_n).max() <= 1e-15
         assert u.values.shape == (2, 16, 16)
         assert np.abs(u.values).max() <= 1e-15  # sin(0) factor
-
-    def test_initial_time_paper_variant_velocity(self, paper_case, grid16):
-        _, _, u, _, _ = paper_case.exact_state(0.0, grid16)
-        expected = -np.sin(2 * grid16.xx) * np.sin(grid16.yy) ** 2
-        assert np.abs(u.values[0]).max() <= 1e-15
-        assert np.abs(u.values[1] - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
     def test_mass_is_time_independent(self, case, grid16, t):
@@ -79,31 +68,18 @@ class TestExactState:
             div = grid16.div(*u.values)
             assert np.abs(div).max() <= 1e-13
 
-    def test_paper_variant_is_not_solenoidal(self, paper_case, grid16):
-        _, _, u, _, _ = paper_case.exact_state(0.7, grid16)
-        div = grid16.div(*u.values)
-        expected = (np.sin(2 * grid16.xx) * np.sin(2 * grid16.yy)
-                    * (math.sin(0.7) - math.cos(0.7)))
-        assert np.abs(div - expected).max() <= 1e-12
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            mms.make_case(PhysParams(), "bogus")
-
 
 class TestAxisEvaluation:
     """_eval runs the closed forms on the 1-D axes and broadcasts to (N, N)."""
 
-    @pytest.mark.parametrize("variant", mms.VARIANTS)
     @pytest.mark.parametrize("n_modes", [8, 64, 128])
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
-    def test_bitwise_equal_to_meshgrid_evaluation(self, variant, n_modes, t):
-        c = mms.make_case(PhysParams(), variant)
+    def test_bitwise_equal_to_meshgrid_evaluation(self, case, n_modes, t):
         grid = make_grid(n_modes)
-        for name, fn in c._fns.items():
+        for name, fn in case._fns.items():
             on_mesh = np.broadcast_to(np.asarray(fn(grid.xx, grid.yy, t), dtype=float),
                                       grid.xx.shape)
-            assert np.array_equal(c._eval(name, grid, t), on_mesh), name
+            assert np.array_equal(case._eval(name, grid, t), on_mesh), name
 
     def test_constant_and_one_variable_fields_fill_the_grid(self):
         x, y, t = syms = sp.symbols("x y t", real=True)
@@ -114,7 +90,7 @@ class TestAxisEvaluation:
         exprs = dict(zip(("f_p", "f_n", "f_u1", "f_u2"), forcing))
         exprs.update(const=const, in_x=sp.cos(x), in_y=sp.sin(2 * y) * sp.sin(t))
         fns = {name: sp.lambdify(syms, expr, modules="numpy") for name, expr in exprs.items()}
-        c = mms.MMSCase(mms.DIVERGENCE_FREE, PhysParams(), fns)
+        c = mms.MMSCase(PhysParams(), fns)
         grid = make_grid(8)
         for name in exprs:
             out = c._eval(name, grid, 0.3)
@@ -134,7 +110,7 @@ class TestAxisEvaluation:
                 return fn(x, y, t)
             return wrapped
 
-        spied = mms.MMSCase(case.variant, case.params,
+        spied = mms.MMSCase(case.params,
                             {name: spy(fn) for name, fn in case._fns.items()})
         grid = make_grid(16)
         spied.exact_state(0.3, grid)
@@ -155,13 +131,12 @@ class TestForcing:
             sp.Integer(0), PhysParams())
         assert f_p == 0 and f_n == 0 and f_u1 == 0 and f_u2 == 0
 
-    @pytest.mark.parametrize("variant", [mms.DIVERGENCE_FREE, mms.PAPER_EXACT])
     @pytest.mark.parametrize("t", [0.3, 0.8])
-    def test_matches_finite_difference_oracle(self, variant, t):
+    def test_matches_finite_difference_oracle(self, t):
         """Symbolically derived forcing vs 4th-order finite differences."""
         params = PhysParams(epsilon=1.3, kappa=2.0, diffusion=0.8, viscosity=1.2)
-        c = mms.make_case(params, variant)
-        oracle = FdForcingOracle(params, variant, n_probe=512)
+        c = mms.make_case(params)
+        oracle = FdForcingOracle(params, n_probe=512)
         grid = make_grid(64)
 
         f_p, f_n = c.ion_sources(t, grid)
@@ -177,7 +152,7 @@ class TestForcing:
     def test_advection_term_split(self, case):
         """f_p minus the u.grad p part equals the transport-free balance."""
         params = PhysParams()
-        oracle = FdForcingOracle(params, mms.DIVERGENCE_FREE, n_probe=512)
+        oracle = FdForcingOracle(params, n_probe=512)
         grid = make_grid(32)
         t = 0.45
         advect, rest = oracle.ion_parts(t)
@@ -283,18 +258,3 @@ class TestConvergenceStudy:
     def test_rejects_non_decreasing_list(self):
         with pytest.raises(ConfigError):
             mms.convergence_study([0.01, 0.02], STUDY_CFG, PhysParams())
-
-    def test_parallel_matches_serial(self):
-        kwargs = dict(cfg=STUDY_CFG, params=PhysParams())
-        serial = mms.convergence_study([0.02, 0.01], **kwargs)
-        parallel = mms.convergence_study([0.02, 0.01], max_workers=2, **kwargs)
-        for a, b in zip(serial, parallel):
-            assert a.err_p == b.err_p
-            assert a.err_u == b.err_u
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("PNPNS_THREADS", "3")
-        assert mms.default_thread_count() == 3
-        monkeypatch.setenv("PNPNS_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            mms.default_thread_count()

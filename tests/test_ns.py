@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pnpns import ns
 from pnpns.errors import NoConvergenceError
 from pnpns.ns import (
     advect_diffuse_product,
@@ -12,7 +13,7 @@ from pnpns.ns import (
     velocity_step,
 )
 from pnpns.spectral import make_grid
-from pnpns.state import PhysParams, SchemeConfig
+from pnpns.state import PhysParams
 
 from conftest import band_limited, div_free_velocity
 from oracles import (
@@ -21,10 +22,6 @@ from oracles import (
     diff_matrices_2d,
     laplacian,
 )
-
-
-def _cfg(n, dt=0.05):
-    return SchemeConfig(n_modes=n, dt=dt, t_final=dt)
 
 
 class TestIonForcing:
@@ -55,7 +52,7 @@ class TestSolveVelocity:
     def test_all_zero(self, grid16):
         zero_v = np.zeros((2, 16, 16))
         u, _, _ = solve_velocity(grid16, zero_v, np.zeros((16, 16)), zero_v.copy(), None,
-                                 PhysParams(), 0.05, _cfg(16))
+                                 PhysParams(), 0.05)
         assert np.abs(u[0]).max() == 0.0
         assert np.abs(u[1]).max() == 0.0
 
@@ -63,7 +60,7 @@ class TestSolveVelocity:
         dt = 0.05
         forcing = np.stack((np.full((16, 16), 2.0), np.full((16, 16), -1.0)))
         u, _, _ = solve_velocity(grid16, np.zeros((2, 16, 16)), np.zeros((16, 16)), forcing,
-                                 None, PhysParams(), dt, _cfg(16))
+                                 None, PhysParams(), dt)
         assert np.abs(u[0] - 2.0 * dt).max() <= 1e-12
         assert np.abs(u[1] + 1.0 * dt).max() <= 1e-12
 
@@ -71,7 +68,6 @@ class TestSolveVelocity:
         """Apply the operator to a chosen field, solve, recover the field."""
         params = PhysParams(viscosity=0.8)
         dt = 0.04
-        cfg = _cfg(16, dt)
         ux, uy = div_free_velocity(grid16, rng, amplitude=0.7, kmax=4)
         phi_vals = band_limited(grid16, rng, kmax=4)
         phi = phi_vals - phi_vals.mean()
@@ -86,19 +82,17 @@ class TestSolveVelocity:
         px, py = grid16.grad(phi)
         forcing = np.stack((operator(wx) - ux / dt + px, operator(wy) - uy / dt + py))
         solved, _, _ = solve_velocity(grid16, np.stack((ux, uy)), phi, forcing, None,
-                                      params, dt, cfg)
+                                      params, dt)
         scale = max(np.abs(wx).max(), np.abs(wy).max())
         assert np.abs(solved[0] - wx).max() <= 1e-10 * scale
         assert np.abs(solved[1] - wy).max() <= 1e-10 * scale
 
-    def test_no_convergence(self, grid16, rng):
-        cfg = SchemeConfig(n_modes=16, dt=0.05, t_final=0.05,
-                           krylov_tol=1e-14, krylov_max_iter=1)
+    def test_no_convergence(self, grid16, rng, monkeypatch):
+        monkeypatch.setattr(ns, "MOMENTUM_MAX_ITER", 1)
         u_m = np.stack(div_free_velocity(grid16, rng, amplitude=5.0))
         forcing = np.stack((band_limited(grid16, rng), band_limited(grid16, rng)))
         with pytest.raises(NoConvergenceError):
-            solve_velocity(grid16, u_m, np.zeros((16, 16)), forcing, None, PhysParams(),
-                           0.05, cfg)
+            solve_velocity(grid16, u_m, np.zeros((16, 16)), forcing, None, PhysParams(), 0.05)
 
 
 class TestPreconditionedProduct:
@@ -141,11 +135,10 @@ class TestPreconditionedProduct:
         rng = np.random.default_rng(32)
         u_m = np.stack(div_free_velocity(grid, rng, amplitude=0.3, kmax=8))
         phi = band_limited(grid, rng, kmax=8, amplitude=0.2)
-        cfg = SchemeConfig(n_modes=32, dt=1e-2, t_final=1e-2)
         _, iters, residual = solve_velocity(grid, u_m, phi, np.zeros((2, 32, 32)), None,
-                                            PhysParams(viscosity=1e-2), cfg.dt, cfg)
+                                            PhysParams(viscosity=1e-2), 1e-2)
         assert iters == 22
-        assert residual <= cfg.krylov_tol
+        assert residual <= ns.MOMENTUM_TOL
 
 
 class TestProjection:
@@ -201,14 +194,13 @@ class TestVelocityStep:
     def test_pythagoras_identity(self, grid16, rng):
         params = PhysParams()
         dt = 0.05
-        cfg = _cfg(16, dt)
         u_m = np.stack(div_free_velocity(grid16, rng, amplitude=0.6, kmax=4))
         phi_vals = band_limited(grid16, rng, kmax=4)
         phi = phi_vals - phi_vals.mean()
         forcing = np.stack((band_limited(grid16, rng, kmax=4),
                             band_limited(grid16, rng, kmax=4)))
-        u_tilde, _, _ = solve_velocity(grid16, u_m, phi, forcing, None, params, dt, cfg)
-        result = velocity_step(grid16, u_m, phi, forcing, None, params, dt, cfg)
+        u_tilde, _, _ = solve_velocity(grid16, u_m, phi, forcing, None, params, dt)
+        result = velocity_step(grid16, u_m, phi, forcing, None, params, dt)
         lhs = grid16.norm(u_tilde) ** 2
         dphi = result.phi_new - phi
         gx, gy = grid16.grad(dphi)
@@ -218,16 +210,14 @@ class TestVelocityStep:
 
     def test_result_invariants(self, grid16, rng):
         params = PhysParams()
-        cfg = _cfg(16)
         u_m = np.stack(div_free_velocity(grid16, rng, kmax=4))
         forcing = np.stack((band_limited(grid16, rng, kmax=4),
                             band_limited(grid16, rng, kmax=4)))
-        result = velocity_step(grid16, u_m, np.zeros((16, 16)), forcing, None, params,
-                               cfg.dt, cfg)
+        result = velocity_step(grid16, u_m, np.zeros((16, 16)), forcing, None, params, 0.05)
         div_norm = grid16.norm(grid16.div(result.u_new[0], result.u_new[1]))
         assert div_norm <= 1e-11 * max(1.0, grid16.norm(result.u_new))
         assert abs(result.phi_new.mean()) <= 1e-12
-        assert result.residual <= cfg.krylov_tol * 10
+        assert result.residual <= ns.MOMENTUM_TOL * 10
 
 
 class TestConvectionSkewSymmetry:

@@ -131,13 +131,17 @@ class TestTransformsMatchScipy:
         assert np.array_equal(real, back)
 
     def test_import_leaves_scipy_fft_unloaded(self):
-        """The transforms are numpy's: importing pnpns does not load scipy.fft."""
+        """The transforms are numpy's: importing pnpns does not load scipy.fft.
+
+        Nor multiprocessing: the package runs in the caller's process.
+        """
         src = Path(pnpns.__file__).resolve().parents[1]
-        code = "import sys, pnpns; print('scipy.fft' in sys.modules)"
+        code = ("import sys, pnpns; "
+                "print('scipy.fft' in sys.modules, 'multiprocessing' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)},
                               timeout=120, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
 
 class TestSymbols:
